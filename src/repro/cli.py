@@ -38,8 +38,8 @@ Commands
     Enqueue a workflow job for a tenant into the service database; a
     running (or later-started) ``service run`` launches it.
 ``top``
-    Live per-tenant fleet view (tenants, jobs, worker CPU/RSS, ready
-    queue, recent events) assembled from runs.db and events.jsonl.
+    Live per-tenant fleet view (tenants, jobs, per-run driver CPU/RSS,
+    ready queue, recent events) assembled from runs.db and events.jsonl.
 ``info``
     Print the component inventory and version.
 """
@@ -92,12 +92,6 @@ def _add_workflow_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--events-out", default=None, metavar="PATH",
                         help="write the structured event log here (default: "
                              "<results>/events.jsonl on the cluster FS)")
-    parser.add_argument("--backend", choices=("thread", "process"),
-                        default="thread",
-                        help="execution backend for Ophidia fragment sweeps "
-                             "and the ESM baseline: 'thread' (default) or "
-                             "'process' (spawned workers, shared-memory "
-                             "array transport)")
     parser.add_argument("--cores-per-node", type=int, default=4,
                         metavar="N",
                         help="cores per simulated cluster node (explicit "
@@ -137,7 +131,6 @@ def _params_from_args(args) -> "WorkflowParams":
         n_workers=args.workers, scenario=args.scenario, seed=args.seed,
         min_length_days=args.min_length, with_ml=args.with_ml,
         pace_seconds=args.pace,
-        execution_backend=args.backend,
         cluster_cores_per_node=args.cores_per_node,
         runs_db=args.runs_db, slo_rules_path=args.slo_rules,
         events_path=args.events_out, **kwargs,
@@ -982,8 +975,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     top = sub.add_parser(
         "top",
-        help="live per-tenant fleet view (tenants, jobs, worker CPU/RSS, "
-             "queue depth, recent events) from runs.db + events.jsonl",
+        help="live per-tenant fleet view (tenants, jobs, per-run driver "
+             "CPU/RSS, queue depth, recent events) from runs.db + "
+             "events.jsonl",
     )
     top.add_argument("--db", default=None, metavar="PATH",
                      help="service database (default: $REPRO_RUNS_DB)")

@@ -89,14 +89,6 @@ from repro.observability.resources import (
     process_sampler,
     sample_process_resources,
 )
-from repro.observability.shipping import (
-    TelemetryCapture,
-    deserialize_context,
-    merge_envelope,
-    serialize_context,
-    span_from_json,
-    span_to_json,
-)
 from repro.observability.slo import (
     SLOMonitor,
     SLOResult,
@@ -167,12 +159,6 @@ __all__ = [
     "ResourceSampler",
     "process_sampler",
     "sample_process_resources",
-    "TelemetryCapture",
-    "deserialize_context",
-    "merge_envelope",
-    "serialize_context",
-    "span_from_json",
-    "span_to_json",
     "SLOMonitor",
     "SLOResult",
     "SLORule",

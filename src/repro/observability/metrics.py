@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import json
 import threading
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -209,43 +209,6 @@ class Histogram(_Metric):
                 return lo + (hi - lo) * min(1.0, max(0.0, frac))
         return self.buckets[-1]
 
-    def merge_bucket_counts(
-        self,
-        labels: Mapping[str, Any],
-        buckets: Mapping[str, float],
-        count: float,
-        total: float,
-    ) -> None:
-        """Fold exported bucket counts (snapshot-JSON shape) into a series.
-
-        *buckets* maps bound strings (``repr(bound)`` or ``"+Inf"``) to
-        non-cumulative per-bucket counts, exactly the shape
-        :meth:`_HistogramSeries.as_dict` emits.  Bounds absent from this
-        histogram's schema fold into the nearest bucket that would have
-        caught the same observations (via ``bisect``), so merging across
-        slightly different bucket layouts degrades gracefully instead of
-        raising.
-        """
-        key = self._key(labels)
-        n = len(self.buckets)
-        increments = [0] * (n + 1)
-        for bound_str, bucket_count in buckets.items():
-            if not bucket_count:
-                continue
-            if bound_str == "+Inf":
-                idx = n
-            else:
-                idx = min(bisect.bisect_left(self.buckets, float(bound_str)), n)
-            increments[idx] += int(bucket_count)
-        with self._lock:
-            series = self._series.get(key)
-            if series is None:
-                series = self._series[key] = _HistogramSeries(n)
-            for i, c in enumerate(increments):
-                series.bucket_counts[i] += c
-            series.count += int(count)
-            series.sum += total
-
     def stats(self, **labels: Any) -> Dict[str, float]:
         """Aggregated ``count``/``sum``/``mean`` over matching series."""
         count = 0
@@ -345,63 +308,6 @@ class MetricsRegistry:
             return 0.0
         return _match_sum(metric.label_names, metric.series(), labels)
 
-    # -- cross-process merge ------------------------------------------------
-
-    def merge_delta(self, delta_json: Mapping[str, Any]) -> None:
-        """Fold a snapshot-delta (JSON shape) from another process in.
-
-        Counters add their deltas (non-positive deltas are skipped —
-        a counter can only increase), gauges take the shipped value as
-        the latest level, histograms merge per-bucket counts.  Families
-        are get-or-create using the delta's help text and label schema,
-        so a metric first touched inside a worker still materialises
-        here.  A malformed family never raises: it is skipped and
-        counted in ``telemetry_merge_errors_total``.
-        """
-        errors = 0
-        for name, family in delta_json.items():
-            try:
-                self._merge_family(name, family)
-            except Exception:
-                errors += 1
-        if errors:
-            try:
-                self.counter(
-                    "telemetry_merge_errors_total",
-                    "Metric families dropped while merging a shipped delta",
-                ).inc(errors)
-            except Exception:
-                pass
-
-    def _merge_family(self, name: str, family: Mapping[str, Any]) -> None:
-        kind = family.get("kind", "untyped")
-        help_ = family.get("help", "")
-        label_names = tuple(family.get("labels", ()))
-        series = family.get("series", [])
-        if kind == "counter":
-            counter = self.counter(name, help_, label_names)
-            for entry in series:
-                amount = entry.get("value", 0)
-                if amount > 0:
-                    counter.inc(amount, **entry["labels"])
-        elif kind == "gauge":
-            gauge = self.gauge(name, help_, label_names)
-            for entry in series:
-                gauge.set(entry.get("value", 0), **entry["labels"])
-        elif kind == "histogram":
-            bounds = _family_bounds(series)
-            hist = self.histogram(
-                name, help_, label_names,
-                buckets=bounds if bounds else DEFAULT_BUCKETS,
-            )
-            for entry in series:
-                hist.merge_bucket_counts(
-                    entry["labels"], entry.get("buckets", {}),
-                    entry.get("count", 0), entry.get("sum", 0.0),
-                )
-        else:
-            raise ValueError(f"unknown metric kind {kind!r}")
-
     # -- export -------------------------------------------------------------
 
     def snapshot(self) -> "MetricsSnapshot":
@@ -480,7 +386,7 @@ class MetricsSnapshot:
                 new_series.append(_series_delta(family["kind"], entry, prev))
             kept = [s for s in new_series if s is not None]
             # A family whose every series is unchanged is not traffic;
-            # dropping it keeps shipped worker deltas minimal.
+            # dropping it keeps stored run deltas minimal.
             if kept:
                 out[name] = {**family, "series": kept}
         return MetricsSnapshot(out)
@@ -514,17 +420,6 @@ class MetricsSnapshot:
 
 def _series_key(labels: Mapping[str, Any]) -> Tuple[Tuple[str, str], ...]:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
-
-
-def _family_bounds(series: Iterable[Mapping[str, Any]]) -> Tuple[float, ...]:
-    """Recover finite bucket bounds from exported histogram series."""
-    for entry in series:
-        bounds = tuple(
-            float(b) for b in entry.get("buckets", {}) if b != "+Inf"
-        )
-        if bounds:
-            return tuple(sorted(bounds))
-    return ()
 
 
 def _series_delta(kind: str, entry: Dict[str, Any], prev: Optional[Dict[str, Any]]):

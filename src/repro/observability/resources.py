@@ -1,8 +1,8 @@
-"""Per-process resource sampling: CPU seconds and resident set size.
+"""Driver resource sampling: CPU seconds and resident set size.
 
-Every process that participates in a workflow run — the driver and each
-spawn-based pool worker — carries one :class:`ResourceSampler` per role.
-Samples land in the process-local metrics registry as two families:
+The workflow driver samples its own usage when a run begins and again
+before the run's metrics delta is taken.  Samples land in the metrics
+registry as two families:
 
 * ``process_cpu_seconds_total{role,pid}`` — counter of user+system CPU
   consumed by this process, from :func:`resource.getrusage` (no psutil);
@@ -10,10 +10,8 @@ Samples land in the process-local metrics registry as two families:
   from ``/proc/self/statm`` (falling back to ``ru_maxrss`` where procfs
   is unavailable, e.g. macOS).
 
-Workers ship their registry delta back to the driver through the
-telemetry envelope (:mod:`repro.observability.shipping`), so one merged
-snapshot answers "how much CPU and memory did this run burn, per
-process role" no matter how many processes executed it.
+``role`` is always ``"driver"``: the label stays so series already
+stored in ``runs.db`` keep matching the ones new runs record.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from __future__ import annotations
 import os
 import resource
 import threading
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.observability.metrics import MetricsRegistry, get_registry
 
@@ -49,10 +47,9 @@ def _rss_bytes() -> float:
 
 
 class ResourceSampler:
-    """Emit CPU/RSS metrics for this process under a fixed *role* label."""
+    """Emit CPU/RSS metrics for this process under ``role="driver"``."""
 
-    def __init__(self, role: str, registry: Optional[MetricsRegistry] = None) -> None:
-        self.role = role
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.pid = str(os.getpid())
         self._registry = registry
         self._last_cpu: Optional[float] = None
@@ -68,8 +65,7 @@ class ResourceSampler:
         emitted — the driver calls this when a run begins, so CPU burned
         before the run never pollutes the run's snapshot delta.  The
         first non-baseline sample with no prior baseline emits the full
-        cumulative CPU (right for workers: spawn and import cost is part
-        of what the run paid for).
+        cumulative CPU.
         """
         registry = self._reg()
         cpu = _cpu_seconds()
@@ -81,28 +77,28 @@ class ResourceSampler:
                         "process_cpu_seconds_total",
                         "User+system CPU seconds consumed, by process",
                         ("role", "pid"),
-                    ).inc(delta, role=self.role, pid=self.pid)
+                    ).inc(delta, role="driver", pid=self.pid)
             self._last_cpu = cpu
         registry.gauge(
             "process_rss_bytes",
             "Current resident set size, by process",
             ("role", "pid"),
-        ).set(_rss_bytes(), role=self.role, pid=self.pid)
+        ).set(_rss_bytes(), role="driver", pid=self.pid)
 
 
-_samplers: Dict[str, ResourceSampler] = {}
-_samplers_lock = threading.Lock()
+_sampler: Optional[ResourceSampler] = None
+_sampler_lock = threading.Lock()
 
 
-def process_sampler(role: str) -> ResourceSampler:
-    """The process-wide sampler for *role* (one per role, per process)."""
-    with _samplers_lock:
-        sampler = _samplers.get(role)
-        if sampler is None or sampler.pid != str(os.getpid()):
-            sampler = _samplers[role] = ResourceSampler(role)
-        return sampler
+def process_sampler() -> ResourceSampler:
+    """The process-wide sampler (re-created in a forked child)."""
+    global _sampler
+    with _sampler_lock:
+        if _sampler is None or _sampler.pid != str(os.getpid()):
+            _sampler = ResourceSampler()
+        return _sampler
 
 
-def sample_process_resources(role: str, baseline_only: bool = False) -> None:
-    """Shorthand: sample into the process-wide registry under *role*."""
-    process_sampler(role).sample(baseline_only=baseline_only)
+def sample_process_resources(baseline_only: bool = False) -> None:
+    """Shorthand: sample into the process-wide registry."""
+    process_sampler().sample(baseline_only=baseline_only)

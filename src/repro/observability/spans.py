@@ -123,18 +123,9 @@ class TraceCollector:
             else:
                 self._spans.append(span_)
                 return
-        self._on_drop(1, first_drop)
+        self._on_drop(first_drop)
 
-    def note_dropped(self, n: int) -> None:
-        """Account spans dropped elsewhere (e.g. inside a worker)."""
-        if n <= 0:
-            return
-        with self._lock:
-            first_drop = self._dropped == 0
-            self._dropped += n
-        self._on_drop(n, first_drop)
-
-    def _on_drop(self, n: int, first_drop: bool) -> None:
+    def _on_drop(self, first_drop: bool) -> None:
         # Outside the collector lock: the metrics registry and event log
         # take their own locks (and event subscribers run arbitrary
         # code).  Lazy imports avoid a module cycle — events.py imports
@@ -146,7 +137,7 @@ class TraceCollector:
             get_registry().counter(
                 "trace_spans_dropped_total",
                 "Spans discarded past TraceCollector.max_spans",
-            ).inc(n)
+            ).inc()
         except Exception:
             pass
         if not first_drop:

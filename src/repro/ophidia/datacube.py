@@ -60,7 +60,6 @@ from repro.ophidia import kernels as K
 from repro.ophidia.primitives import parse_primitive
 from repro.ophidia.pruning import compile_prune_plan
 from repro.ophidia.server import OphidiaServer
-from repro.parallel import FragmentKernel
 
 
 def _chunk_axis_for(names: Sequence[str], fragment_dim: str) -> int:
@@ -137,8 +136,7 @@ def _flush_avoided(meter: _AvoidedMeter) -> None:
         ).inc(meter.total)
 
 
-# Historical homes of the operator tables; they now live in
-# :mod:`repro.ophidia.kernels` so both execution backends share them.
+# Local names for the operator tables in :mod:`repro.ophidia.kernels`.
 _REDUCERS = K.REDUCERS
 _INTERCUBE_OPS = K.INTERCUBE_OPS
 
@@ -490,10 +488,9 @@ class Cube:
                     )
                     ops.extend(oops)
                     # Preload the operand's base fragments now: the stage
-                    # itself then needs no storage-pool access and can run
-                    # in a worker process.  Spilled operands stay cold —
-                    # the handle hydrates inside whichever worker runs
-                    # the stage.
+                    # itself then needs no storage-pool access.  Spilled
+                    # operands stay cold — the handle hydrates inside the
+                    # pool thread that runs the stage.
                     operands = tuple(
                         opool.load_handle(ref.fragment_id) for ref in orefs
                     )
@@ -528,19 +525,14 @@ class Cube:
         indices: Optional[Sequence[int]] = None,
         **attrs: Any,
     ) -> List[np.ndarray]:
-        """Execute a compiled kernel over *refs* on the server's backend.
+        """Execute a compiled kernel over *refs* on the server's pool.
 
         The first *n_metered* chain outputs count toward avoided
         materialisations (*n_metered* counts the whole fused chain,
         including any steps a *prune* plan consumed — the split between
-        the plan's loader and the kernel happens here).  The process
-        backend (when configured and the kernel pickles) receives
-        preloaded input arrays — or cold-fragment spill handles, which
-        hydrate inside the workers — and returns the accumulated
-        avoided-bytes count alongside the results; the thread path
-        meters through a shared :class:`_AvoidedMeter`.  Both flush the
-        same counter, so the fusion metrics do not depend on the
-        backend.
+        the plan's loader and the kernel happens here).  Every fragment
+        task meters into one shared :class:`_AvoidedMeter`, flushed to
+        the counter once the sweep is done.
 
         *indices* carries the fragments' original positions when only a
         subset of a cube's fragments is swept (fragment-level subset
@@ -552,48 +544,28 @@ class Cube:
         if prune is not None:
             plan_metered = min(prune.consumed, n_metered)
             kernel_metered = max(0, n_metered - prune.consumed)
-        kernel = FragmentKernel(tuple(stages), kernel_metered)
+        kernel = K.FragmentKernel(tuple(stages), kernel_metered)
         pool = self._server.pool
         meter = _AvoidedMeter()
         items = (
             list(zip(indices, refs)) if indices is not None
             else list(enumerate(refs))
         )
-        if self._server.process_kernel_ready(kernel):
+
+        def work(item):
+            i, ref = item
             if prune is not None:
-                # The pruned prefix runs chunk-wise in the parent (the
-                # thread pool parallelises across fragments); only the
-                # surviving dense tail ships to the workers.
-                def load_input(item):
-                    i, ref = item
-                    data, avoided = prune.load(ref, i, plan_metered)
-                    meter.add(avoided)
-                    return data
-
-                inputs = self._server.map_fragments(load_input, items)
+                data, extra = prune.load(ref, i, plan_metered)
+                meter.add(extra)
             else:
-                inputs = [pool.load_handle(ref.fragment_id) for ref in refs]
-            arrays, avoided = self._server.sweep_kernel(
-                ops, kernel, inputs, indices=[i for i, _ in items],
-                cube_id=self.cube_id, **attrs,
-            )
+                data = pool.load_handle(ref.fragment_id)
+            out, avoided = kernel.run(data, i)
             meter.add(avoided)
-        else:
+            return out
 
-            def work(item):
-                i, ref = item
-                if prune is not None:
-                    data, extra = prune.load(ref, i, plan_metered)
-                    meter.add(extra)
-                else:
-                    data = pool.load_handle(ref.fragment_id)
-                out, avoided = kernel.run(data, i)
-                meter.add(avoided)
-                return out
-
-            arrays = self._server.sweep(
-                ops, work, items, cube_id=self.cube_id, **attrs,
-            )
+        arrays = self._server.sweep(
+            ops, work, items, cube_id=self.cube_id, **attrs,
+        )
         _flush_avoided(meter)
         return arrays
 

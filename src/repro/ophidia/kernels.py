@@ -1,32 +1,28 @@
-"""Per-fragment kernel stages shared by the thread and process backends.
+"""Per-fragment kernel stages and the compiled chain that runs them.
 
-A fused operator chain compiles to a sequence of *stages*, each the
-module-level functions below specialised through ``functools.partial``.
-Module-level functions (unlike the closures the datacube layer used to
-build) survive pickling, so the same compiled chain can run on the
-in-process thread pool or ship to a spawn-based worker process
-unchanged.
+A fused operator chain compiles to a :class:`FragmentKernel`: a
+sequence of *stages*, each one of the module-level functions below
+specialised through ``functools.partial``.  The server's thread pool
+runs the kernel once per fragment; NumPy releases the GIL inside each
+stage, so fragments execute concurrently.
 
 Stage protocol
 --------------
 ``stage(data, i) -> (out, extra_avoided_bytes)`` where *i* is the
 fragment index.  *extra* is the avoided-materialisation byte count the
 stage accounts for internally — only :func:`stage_binop` uses it, to
-meter the operand chain it runs on the side.  The caller
-(:class:`repro.parallel.FragmentKernel`) adds ``out.nbytes`` for metered
-stages on top, so fusion metrics are byte-identical whichever backend
-executes the sweep.
+meter the operand chain it runs on the side.  :meth:`FragmentKernel.run`
+adds ``out.nbytes`` for metered stages on top.
 
-Intercube operators are encoded by *name* (looked up in
-:data:`INTERCUBE_OPS` at run time) rather than by callable: several of
-the ops are lambdas, which do not pickle, while a module-attribute
-lookup resolves in a spawned worker for free.
+Intercube operators are encoded by *name* and looked up in
+:data:`INTERCUBE_OPS` at run time, so a stage's ``partial`` carries
+only plain data.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +31,7 @@ from repro.ophidia.primitives import evaluate_ast
 __all__ = [
     "INTERCUBE_OPS",
     "REDUCERS",
-    "kernel_stage_names",
+    "FragmentKernel",
     "run_lengths",
     "stage_apply",
     "stage_binop",
@@ -70,21 +66,36 @@ INTERCUBE_OPS: Dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
 }
 
 
-def kernel_stage_names(kernel: Any) -> List[str]:
-    """Human-readable stage names of a compiled kernel (span attributes).
+@dataclass(frozen=True)
+class FragmentKernel:
+    """A compiled per-fragment operator chain.
 
-    Stages are ``functools.partial`` specialisations of the module-level
-    functions below; unwrap to the underlying function's name so worker
-    spans say what the sweep computed (``stage_apply``, ``stage_reduce``,
-    ...) without shipping the callables themselves.
+    ``n_metered`` leading stage outputs count as avoided
+    materialisations: eager execution would have written each of them
+    to the storage pool.
     """
-    names: List[str] = []
-    for stage in getattr(kernel, "stages", ()):
-        fn = stage
-        while isinstance(fn, functools.partial):
-            fn = fn.func
-        names.append(getattr(fn, "__name__", repr(fn)))
-    return names
+
+    stages: Tuple[Callable[..., Any], ...]
+    n_metered: int
+
+    def run(self, data: Any, i: int) -> Tuple[np.ndarray, int]:
+        """Apply all stages to fragment *i*; returns (result, avoided bytes).
+
+        *data* may also be a cold-fragment handle (anything exposing
+        ``hydrate()``, e.g. :class:`repro.ophidia.storage.SpillHandle`):
+        hydration happens here, inside the pool thread running the
+        sweep, so a spilled fragment is read back in parallel with its
+        siblings.
+        """
+        if hasattr(data, "hydrate"):
+            data = data.hydrate()
+        avoided = 0
+        for k, stage in enumerate(self.stages):
+            data, extra = stage(data, i)
+            avoided += extra
+            if k < self.n_metered:
+                avoided += data.nbytes
+        return np.asarray(data), avoided
 
 
 def run_lengths(mask: np.ndarray, axis: int) -> np.ndarray:
@@ -155,7 +166,7 @@ def stage_binop(
     every stage output metered — the operand chain streams through this
     sweep instead of materialising, exactly as on the old closure path.
     A spilled operand arrives as a cold-fragment handle and hydrates
-    here, inside whichever worker runs the stage.
+    here, inside the pool thread running the stage.
     """
     b = operands[i]
     b = b.hydrate() if hasattr(b, "hydrate") else np.asarray(b)

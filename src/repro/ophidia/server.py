@@ -4,7 +4,8 @@ In the real framework the Ophidia Server front-end dispatches operators
 to a runtime that executes them across the I/O servers.  Here the server
 owns the :class:`~repro.ophidia.storage.StoragePool` and a thread pool
 (``n_cores``) on which per-fragment work runs concurrently; NumPy
-kernels release the GIL so the parallelism is real.
+kernels release the GIL so the parallelism is real.  The pool is the
+only execution backend: every sweep, eager or fused, runs on it.
 
 The server optionally wraps a
 :class:`~repro.cluster.filesystem.SharedFilesystem` for NetCDF import
@@ -27,9 +28,7 @@ from repro.netcdf import Dataset, Variable, read_variable, write_dataset
 from repro.observability.events import emit_event
 from repro.observability.metrics import get_registry
 from repro.observability.spans import activate, current_context, maybe_span
-from repro.ophidia.kernels import kernel_stage_names
 from repro.ophidia.storage import StoragePool, StorageStats
-from repro.parallel import FragmentKernel, ProcessPoolBackend, payload_picklable
 
 
 class OphidiaServer:
@@ -54,14 +53,6 @@ class OphidiaServer:
         gather or explicit :meth:`Cube.materialize`).  ``lazy=False``
         restores fully eager execution: every operator reads, computes
         and writes its fragments immediately.
-    backend:
-        ``"thread"`` (default) runs fragment sweeps on the in-process
-        thread pool; ``"process"`` adds a spawn-based
-        :class:`~repro.parallel.ProcessPoolBackend` and routes picklable
-        fragment kernels through it, moving arrays via shared memory.
-        Kernels that do not pickle (e.g. lambda transforms) fall back to
-        the thread pool and count in
-        ``ophidia_backend_fallbacks_total``.
     memory_budget_bytes / spill_dir / spill_codec:
         Tiered-residency knobs, passed to the
         :class:`~repro.ophidia.storage.StoragePool`: with a nonzero
@@ -83,7 +74,6 @@ class OphidiaServer:
         n_cores: int = 2,
         filesystem: Optional[SharedFilesystem] = None,
         lazy: bool = True,
-        backend: str = "thread",
         memory_budget_bytes: int = 0,
         spill_dir: Optional[str] = None,
         spill_codec: str = "zlib",
@@ -92,10 +82,6 @@ class OphidiaServer:
     ) -> None:
         if n_cores < 1:
             raise ValueError("n_cores must be >= 1")
-        if backend not in ("thread", "process"):
-            raise ValueError(
-                f"backend must be 'thread' or 'process', got {backend!r}"
-            )
         pool_kwargs = dict(
             memory_budget_bytes=memory_budget_bytes,
             spill_dir=spill_dir,
@@ -107,11 +93,7 @@ class OphidiaServer:
         self.n_cores = n_cores
         self.filesystem = filesystem
         self.lazy = bool(lazy)
-        self.backend = backend
         self.prune = bool(prune)
-        self._proc: Optional[ProcessPoolBackend] = (
-            ProcessPoolBackend(n_cores) if backend == "process" else None
-        )
         self._closed = False
         self._executor = ThreadPoolExecutor(
             max_workers=n_cores, thread_name_prefix="ophidia-core"
@@ -203,29 +185,30 @@ class OphidiaServer:
     #: plans can exceed a dozen.
     FUSION_BUCKETS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32)
 
-    @contextmanager
-    def _sweep_accounting(
-        self, ops: List[str], backend: str, attrs: Dict[str, Any]
-    ) -> Iterator[None]:
-        """Uniform pass accounting shared by both sweep entry points.
+    def sweep(
+        self,
+        ops: Sequence[str],
+        fn: Callable[[Any], Any],
+        items: Sequence[Any],
+        **attrs: Any,
+    ) -> List[Any]:
+        """One fragment-parallel pass executing *ops* on the thread pool.
 
-        A sweep over ``len(ops)`` operators counts one pass run and
-        ``len(ops) - 1`` passes avoided (eager execution would have
-        swept once per operator).  Fused sweeps additionally log an
-        ``oph_executeplan`` provenance entry naming the fused operators,
-        and the span carries ``fused_ops``/``fusion_length``/``backend``
-        attributes so plans are visible in the exported trace.
+        Every operator execution — eager single-op or a fused lazy
+        chain — goes through here.  A sweep over ``len(ops)`` operators
+        counts one pass run and ``len(ops) - 1`` passes avoided (eager
+        execution would have swept once per operator).  Fused sweeps
+        additionally log an ``oph_executeplan`` provenance entry naming
+        the fused operators, and the span carries
+        ``fused_ops``/``fusion_length`` attributes so plans are visible
+        in the exported trace.
         """
+        ops = list(ops)
         registry = get_registry()
         registry.counter(
             "ophidia_fragment_passes_run_total",
             "Fragment-parallel sweeps executed",
         ).inc()
-        registry.counter(
-            "ophidia_backend_sweeps_total",
-            "Fragment sweeps by execution backend",
-            labels=("backend",),
-        ).inc(backend=backend)
         if len(ops) > 1:
             registry.counter(
                 "ophidia_fragment_passes_avoided_total",
@@ -241,91 +224,14 @@ class OphidiaServer:
         start = time.monotonic()
         try:
             with self.operation(
-                name, fused_ops=",".join(ops), fusion_length=len(ops),
-                backend=backend, **attrs,
+                name, fused_ops=",".join(ops), fusion_length=len(ops), **attrs,
             ):
-                yield
+                return self.map_fragments(fn, items)
         finally:
             registry.histogram(
                 "ophidia_sweep_duration_seconds",
                 "Wall time of fragment-parallel sweeps (fused or single-op)",
             ).observe(time.monotonic() - start)
-
-    def sweep(
-        self,
-        ops: Sequence[str],
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        **attrs: Any,
-    ) -> List[Any]:
-        """One fragment-parallel pass executing *ops* on the thread pool.
-
-        Every thread-backed operator execution — eager single-op or a
-        fused lazy chain — goes through here; picklable kernels on a
-        process-backed server go through :meth:`sweep_kernel` instead,
-        with identical accounting.
-        """
-        ops = list(ops)
-        with self._sweep_accounting(ops, "thread", attrs):
-            return self.map_fragments(fn, items)
-
-    def sweep_kernel(
-        self,
-        ops: Sequence[str],
-        kernel: FragmentKernel,
-        inputs: Sequence[Any],
-        indices: Optional[Sequence[int]] = None,
-        **attrs: Any,
-    ) -> tuple:
-        """One fragment-parallel pass executing *kernel* on worker processes.
-
-        *inputs* are the preloaded base fragment arrays — or picklable
-        spill handles for cold fragments, hydrated worker-side; arrays
-        travel to the workers through shared memory.  *indices* carries
-        the fragments' original positions when only a subset is swept.
-        Returns ``(arrays, avoided_bytes)``; only callable after
-        :meth:`process_kernel_ready` approved the kernel.
-        """
-        if self._proc is None:
-            raise RuntimeError("server has no process backend configured")
-        ops = list(ops)
-        with self._sweep_accounting(ops, "process", attrs):
-            return self._proc.map_kernel(
-                kernel, inputs, indices=indices,
-                span_attrs={
-                    "ops": ",".join(ops),
-                    "stages": ",".join(kernel_stage_names(kernel)),
-                },
-            )
-
-    def process_kernel_ready(self, kernel: FragmentKernel) -> bool:
-        """Whether *kernel* should run on the process backend.
-
-        False on thread-backed servers; also false — with a
-        ``ophidia_backend_fallbacks_total`` count — when the kernel does
-        not survive pickling (lambda transforms, closures over live
-        objects), in which case the caller falls back to the thread
-        path.
-        """
-        if self._proc is None or self._proc.closed:
-            return False
-        if not payload_picklable(kernel):
-            get_registry().counter(
-                "ophidia_backend_fallbacks_total",
-                "Process-backend sweeps that fell back to threads",
-                labels=("reason",),
-            ).inc(reason="unpicklable")
-            return False
-        return True
-
-    @property
-    def process_backend(self) -> Optional[ProcessPoolBackend]:
-        """The shared process pool (None on thread-backed servers).
-
-        Exposed so other workflow stages (the ESM baseline build) can
-        fan work out on the same pool instead of spawning their own.
-        """
-        return self._proc
 
     # -- NetCDF ingestion / export ---------------------------------------------
 
@@ -348,15 +254,13 @@ class OphidiaServer:
         return self.pool.total_stats()
 
     def shutdown(self) -> None:
-        """Drain both executors; idempotent so error paths can call it
+        """Drain the thread pool; idempotent so error paths can call it
         unconditionally (a second call on an already-closed server is a
         no-op rather than an error)."""
         if self._closed:
             return
         self._closed = True
         self._executor.shutdown(wait=True)
-        if self._proc is not None:
-            self._proc.shutdown()
 
     def __enter__(self) -> "OphidiaServer":
         return self

@@ -24,9 +24,9 @@ real memory hierarchy:
   compressed (pluggable codec, zlib by default) and spilled to a
   shared-filesystem directory.  :meth:`StoragePool.load` reloads
   spilled fragments transparently; :meth:`StoragePool.load_handle`
-  instead hands out a picklable :class:`SpillHandle` so worker
-  processes hydrate cold data themselves without the parent paying the
-  memory first.
+  instead hands out a :class:`SpillHandle` so a sweep's pool threads
+  hydrate cold data themselves, without re-admitting it to the resident
+  tier first.
 
 Fragments are immutable: ``put`` keeps a read-only view and every read
 returns read-only arrays, so an operator that tries to mutate a shared
@@ -267,8 +267,8 @@ def _write_spill_file(path: str, frag: _Fragment, codec: str) -> Tuple[List[Tupl
 
     Layout: magic, 8-byte header length, pickled header, then the
     compressed chunk payloads back to back.  The header carries
-    everything :class:`SpillHandle` needs, so a worker process can
-    hydrate without any pool state.  A temp-file + ``os.replace`` makes
+    everything :class:`SpillHandle` needs, so a handle can hydrate
+    without any pool state.  A temp-file + ``os.replace`` makes
     the write all-or-nothing: a crash mid-spill leaves only a stray
     ``.tmp`` the reload path never consults.
     """
@@ -336,12 +336,12 @@ def _decode_chunk(
 
 @dataclass(frozen=True)
 class SpillHandle:
-    """A picklable reference to one spilled fragment.
+    """A reference to one spilled fragment.
 
-    Shipping this across a process boundary instead of the hydrated
-    array lets spawn-based workers read and decompress cold chunks
-    themselves (:meth:`hydrate`), so a sweep over spilled cubes never
-    stages the data through the parent's memory budget.
+    Handing this to a sweep instead of the hydrated array lets each
+    pool thread read and decompress its cold chunks itself
+    (:meth:`hydrate`), so a sweep over spilled cubes never stages the
+    data through the pool's memory budget.
     """
 
     path: str
@@ -836,10 +836,10 @@ class StoragePool:
     def load_handle(self, fragment_id: int):
         """Read a fragment as an array (hot) or :class:`SpillHandle` (cold).
 
-        The backend-facing load: resident fragments behave exactly like
-        :meth:`load`; spilled fragments stay cold and return a picklable
-        handle the consumer hydrates itself (in a worker process, off
-        the parent's budget).  Both count as one logical fragment read.
+        The sweep-facing load: resident fragments behave exactly like
+        :meth:`load`; spilled fragments stay cold and return a handle
+        the consumer hydrates itself (in the sweep's pool thread, off
+        the pool's budget).  Both count as one logical fragment read.
         """
         server = self._server_for(fragment_id)
         handle = server.spill_handle(fragment_id)

@@ -118,7 +118,7 @@ def _record_run(
         from repro.observability import current_context, get_registry
         from repro.observability.resources import sample_process_resources
 
-        sample_process_resources("driver")
+        sample_process_resources()
         metrics = None
         if snap_before is not None:
             metrics = get_registry().snapshot().delta(snap_before).to_json()

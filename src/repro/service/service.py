@@ -410,8 +410,10 @@ class WorkflowService:
         except (KeyError, RuntimeError, ValueError) as exc:
             # Unknown workflow, undeployed deployment, impossible
             # resource request: the job fails without touching the
-            # cluster.
+            # cluster.  A finish is a drain-relevant state change, so
+            # wake drain() exactly as a watcher's completion does.
             self._finish(job, JobState.FAILED, error=f"launch failed: {exc}")
+            self._cond.notify_all()
             return
         job = self.db.update_job(
             job.job_id, state=JobState.LAUNCHED, site=self.site,

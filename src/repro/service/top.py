@@ -34,8 +34,8 @@ def gather_top_state(
 
     Returns a JSON-able dict: cluster capacity, per-tenant occupancy,
     the ready queue, recent jobs, recent recorded runs (with the
-    driver/worker CPU and worker RSS recovered from each run's stored
-    metrics delta) and the tail of the event log.
+    driver CPU and RSS recovered from each run's stored metrics delta)
+    and the tail of the event log.
     """
     now = time.time()
     sites = db.list_sites()
@@ -96,11 +96,8 @@ def gather_top_state(
             "driver_cpu_s": snapshot_value(
                 metrics, "process_cpu_seconds_total", role="driver"
             ),
-            "worker_cpu_s": snapshot_value(
-                metrics, "process_cpu_seconds_total", role="worker"
-            ),
-            "worker_rss_bytes": snapshot_value(
-                metrics, "process_rss_bytes", role="worker"
+            "driver_rss_bytes": snapshot_value(
+                metrics, "process_rss_bytes", role="driver"
             ),
         })
 
@@ -185,18 +182,17 @@ def render_top(state: Dict[str, Any]) -> str:
 
     lines.append(
         f"{'RUN':<13} {'KIND':<26} {'STATUS':<10} {'WALL':>8} "
-        f"{'CPU d/w':>13} {'RSS w':>9}"
+        f"{'CPU':>8} {'RSS':>9}"
     )
     if state["runs"]:
         for r in state["runs"]:
             wall = r["wall_clock_s"]
-            cpu = f"{r['driver_cpu_s']:.1f}/{r['worker_cpu_s']:.1f}s"
             lines.append(
                 f"{r['run_id']:<13.13} {r['kind']:<26.26} "
                 f"{r['status']:<10.10} "
                 f"{(f'{wall:.1f}s' if wall is not None else '-'):>8} "
-                f"{cpu:>13} "
-                f"{_fmt_bytes(r['worker_rss_bytes']):>9}"
+                f"{r['driver_cpu_s']:>7.1f}s "
+                f"{_fmt_bytes(r['driver_rss_bytes']):>9}"
             )
     else:
         lines.append("  (no recorded runs)")

@@ -36,12 +36,6 @@ class WorkflowParams:
     #: Directory for spilled fragment files.  ``None`` derives
     #: ``<cluster fs>/ophidia_spill`` when a budget is set.
     ophidia_spill_dir: Optional[str] = None
-    #: Where NumPy-heavy kernels execute: ``"thread"`` (default) shares
-    #: the interpreter and relies on GIL-releasing kernels;
-    #: ``"process"`` runs Ophidia fragment sweeps and the ESM baseline
-    #: on a spawn-based process pool with shared-memory array transport,
-    #: parallelising even GIL-holding Python stages across cores.
-    execution_backend: str = "thread"
     #: Cores per simulated node for CLI/benchmark ``laptop_like``
     #: clusters.  Explicit and deterministic — never derived from
     #: ``os.cpu_count()`` — so scheduling order and perf baselines do
@@ -108,11 +102,6 @@ class WorkflowParams:
             raise ValueError("cache byte budgets must be non-negative")
         if self.ophidia_memory_budget_bytes < 0:
             raise ValueError("ophidia_memory_budget_bytes must be non-negative")
-        if self.execution_backend not in ("thread", "process"):
-            raise ValueError(
-                f"execution_backend must be 'thread' or 'process', "
-                f"got {self.execution_backend!r}"
-            )
         if self.cluster_cores_per_node < 1:
             raise ValueError("cluster_cores_per_node must be >= 1")
 

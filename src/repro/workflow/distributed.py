@@ -94,12 +94,11 @@ def run_distributed_extreme_events(
     server = OphidiaServer(
         n_io_servers=p.ophidia_io_servers, n_cores=p.ophidia_cores,
         filesystem=ana.filesystem, lazy=p.ophidia_lazy,
-        backend=p.execution_backend,
         memory_budget_bytes=p.ophidia_memory_budget_bytes, spill_dir=spill_dir,
     )
     # Everything below the server construction runs inside its
     # try/finally: a failure anywhere on the setup path must still
-    # drain the executor pools (thread and process alike).
+    # drain the server's thread pool.
     collector = None
     control = None
     try:
@@ -141,7 +140,6 @@ def run_distributed_extreme_events(
             # The baseline climatology is computed where it is consumed.
             baseline_path_f = tasks.write_baseline(
                 ana.filesystem, p.n_lat, p.n_lon, p.scenario, p.seed, p.n_days,
-                executor=server.process_backend,
             )
             shared_baseline = tasks.load_baseline_cubes(
                 client, baseline_path_f, p.nfrag, p.n_days
@@ -270,11 +268,11 @@ def run_distributed_extreme_events(
     if slo_section is not None:
         summary["slo"] = slo_section
     # Final driver resource sample before the delta, mirroring the
-    # single-site driver: driver CPU/RSS join the shipped worker samples.
+    # single-site driver.
     try:
         from repro.observability.resources import sample_process_resources
 
-        sample_process_resources("driver")
+        sample_process_resources()
     except Exception:  # noqa: BLE001
         pass
     summary["metrics"] = registry.snapshot().delta(snap_before).to_json()

@@ -201,7 +201,7 @@ class RunControlPlane:
         # Remember the driver's CPU total without emitting, so CPU burned
         # before this run stays out of the run's metrics delta.
         try:
-            sample_process_resources("driver", baseline_only=True)
+            sample_process_resources(baseline_only=True)
         except Exception:  # noqa: BLE001 - sampling must not fail the run
             pass
         self._log.emit(
@@ -379,10 +379,9 @@ def run_extreme_events_workflow(
     if slo_section is not None:
         summary["slo"] = slo_section
     # Final driver resource sample, before the delta snapshot: the
-    # driver's CPU/RSS (role="driver") land in this run's metrics next
-    # to the worker samples the process backend shipped home.
+    # driver's CPU/RSS (role="driver") land in this run's metrics.
     try:
-        sample_process_resources("driver")
+        sample_process_resources()
     except Exception:  # noqa: BLE001
         pass
     summary["metrics"] = registry.snapshot().delta(snap_before).to_json()
@@ -434,12 +433,12 @@ def _run_traced(
         spill_dir = fs.path("ophidia_spill")
     server = OphidiaServer(
         n_io_servers=p.ophidia_io_servers, n_cores=p.ophidia_cores, filesystem=fs,
-        lazy=p.ophidia_lazy, backend=p.execution_backend,
+        lazy=p.ophidia_lazy,
         memory_budget_bytes=p.ophidia_memory_budget_bytes, spill_dir=spill_dir,
     )
     # Everything below the server construction runs inside its
     # try/finally: a failure anywhere on the setup path must still
-    # drain the executor pools, or chaos runs leak them between
+    # drain the server's thread pool, or chaos runs leak it between
     # experiments.
     collector = None
     try:
@@ -474,7 +473,6 @@ def _run_traced(
                 )
                 baseline_path_f = tasks.write_baseline(
                     fs, p.n_lat, p.n_lon, p.scenario, p.seed, p.n_days,
-                    executor=server.process_backend,
                 )
                 if p.sequential:
                     # C1 baseline: no overlap — the whole simulation finishes

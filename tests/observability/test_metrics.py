@@ -178,6 +178,26 @@ class TestPrometheusText:
         text = registry.snapshot().to_prometheus()
         assert 'path="a\\"b\\nc"' in text
 
+    def test_help_text_escaped(self, registry):
+        registry.counter("c_total", 'multi\nline \\ "quoted" help').inc()
+        text = registry.snapshot().to_prometheus()
+        help_line = next(
+            line for line in text.splitlines() if line.startswith("# HELP")
+        )
+        assert "\n" not in help_line
+        assert "multi\\nline \\\\" in help_line
+        # Quotes are legal in HELP text — only backslash and newline escape.
+        assert '"quoted"' in help_line
+
+    def test_non_finite_values_render_prometheus_style(self, registry):
+        registry.gauge("g_inf", "g").set(float("inf"))
+        registry.gauge("g_ninf", "g").set(float("-inf"))
+        registry.gauge("g_nan", "g").set(float("nan"))
+        text = registry.snapshot().to_prometheus()
+        assert "g_inf +Inf" in text
+        assert "g_ninf -Inf" in text
+        assert "g_nan NaN" in text
+
 
 class TestSnapshotHistogramQuantile:
     """Edge cases of the exported-snapshot quantile estimator."""

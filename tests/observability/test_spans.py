@@ -5,12 +5,17 @@ import threading
 import pytest
 
 from repro.observability import (
+    EventLog,
+    MetricsRegistry,
     TraceCollector,
     activate,
     current_context,
     maybe_span,
     new_context,
     record_span,
+    set_event_log,
+    set_registry,
+    snapshot_value,
     span,
 )
 
@@ -151,3 +156,30 @@ class TestCollector:
                     collector=collector)
         collector.clear()
         assert len(collector) == 0
+
+
+@pytest.fixture
+def fresh_registry_and_log():
+    """Isolate the process-wide registry and event log."""
+    registry = set_registry(MetricsRegistry())
+    log = set_event_log(EventLog())
+    yield registry, log
+    set_registry(MetricsRegistry())
+    set_event_log(EventLog())
+
+
+class TestDropAccounting:
+    def test_overflow_increments_counter_and_warns_once(
+        self, fresh_registry_and_log
+    ):
+        registry, log = fresh_registry_and_log
+        collector = TraceCollector(max_spans=1)
+        for _ in range(4):
+            record_span("s", layer="x", start=0, end=1,
+                        parent=new_context(), collector=collector)
+        assert collector.dropped == 3
+        snap = registry.snapshot().to_json()
+        assert snapshot_value(snap, "trace_spans_dropped_total") == 3
+        warnings = [e for e in log.events(min_severity="WARNING")
+                    if e.name == "trace_spans_dropped"]
+        assert len(warnings) == 1  # first drop only

@@ -239,6 +239,28 @@ class TestLifecycleAndExport:
         c.addmeta("units", "K")
         assert c.getmeta("units") == "K"
 
+    def test_kernel_errors_propagate_and_pool_survives(self, client):
+        c = cube_from(np.full((2, 100, 400), 2.0), ["lat", "time", "lon"],
+                      client, fragment_dim="lat")
+        # The unknown variable 'q' fails fragment-side, inside the sweep.
+        with pytest.raises(Exception):
+            c.apply(
+                "oph_predicate('OPH_FLOAT','OPH_INT',measure,'q','>0','1','0')"
+            ).to_array()
+        # The pool is still serviceable after a failed sweep.
+        assert np.array_equal(
+            c.apply("oph_mul_scalar('OPH_DOUBLE','OPH_DOUBLE',measure,3)")
+            .to_array(),
+            np.full((2, 100, 400), 6.0),
+        )
+
+    def test_server_shutdown_is_idempotent(self):
+        server = OphidiaServer()
+        server.shutdown()
+        server.shutdown()
+        with pytest.raises(RuntimeError):
+            server.map_fragments(abs, [1])
+
 
 class TestImportNC:
     def _write_days(self, fs, n_days=3):

@@ -116,7 +116,11 @@ class TestVerbs:
         api = publish(cluster, {"wf": lambda c, p: 1})
         with WorkflowService(db, api, cluster) as svc:
             job = svc.submit("alice", "no-such-workflow")
+            start = time.monotonic()
             svc.drain(timeout=20)
+            # The launch failure must wake drain(); returning only when
+            # the timeout's final predicate check fires is a lost wakeup.
+            assert time.monotonic() - start < 2.0
             assert svc.status("alice", job.job_id) is JobState.FAILED
         assert "launch failed" in db.get_job(job.job_id).error
 

@@ -11,14 +11,12 @@ from repro.service import JobState, ServiceDB, gather_top_state, render_top
 from repro.service.top import _fmt_bytes
 
 
-def _run_metrics(worker_cpu=2.5, driver_cpu=1.0, worker_rss=64 * 2**20):
+def _run_metrics(driver_cpu=2.5, driver_rss=64 * 2**20):
     registry = MetricsRegistry()
     cpu = registry.counter("process_cpu_seconds_total", "cpu", ("role", "pid"))
     cpu.inc(driver_cpu, role="driver", pid="100")
-    cpu.inc(worker_cpu / 2, role="worker", pid="101")
-    cpu.inc(worker_cpu / 2, role="worker", pid="102")
     rss = registry.gauge("process_rss_bytes", "rss", ("role", "pid"))
-    rss.set(worker_rss, role="worker", pid="101")
+    rss.set(driver_rss, role="driver", pid="100")
     return registry.snapshot().to_json()
 
 
@@ -69,9 +67,9 @@ class TestGatherTopState:
         state = gather_top_state(db)
         run = state["runs"][0]
         assert run["run_id"] == "run000000001"
-        assert run["worker_cpu_s"] == pytest.approx(2.5)
-        assert run["driver_cpu_s"] == pytest.approx(1.0)
-        assert run["worker_rss_bytes"] == pytest.approx(64 * 2**20)
+        assert run["driver_cpu_s"] == pytest.approx(2.5)
+        assert run["driver_rss_bytes"] == pytest.approx(64 * 2**20)
+        assert "worker_cpu_s" not in run
 
     def test_jobs_link_to_runs_and_events_tail_in(self, populated):
         db, events = populated
@@ -103,8 +101,11 @@ class TestRenderTop:
         assert "alice" in text and "bob" in text
         assert "RUNNING" in text and "COMPLETED" in text
         assert "run000000001" in text
-        assert "1.0/2.5s" in text
-        assert "64.0MiB" in text
+        run_line = next(
+            line for line in text.splitlines() if line.startswith("run000000001")
+        )
+        assert "2.5s" in run_line
+        assert "64.0MiB" in run_line
         assert "recent events" in text
 
     def test_fmt_bytes(self):
