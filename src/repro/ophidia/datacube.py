@@ -1158,8 +1158,3 @@ class _ServerClient:
 
     def __init__(self, server: OphidiaServer) -> None:
         self.server = server
-
-
-# Historical home of the run-length kernel; now in
-# :mod:`repro.ophidia.kernels`.
-_run_lengths = K.run_lengths

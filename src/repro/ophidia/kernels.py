@@ -3,8 +3,10 @@
 A fused operator chain compiles to a :class:`FragmentKernel`: a
 sequence of *stages*, each one of the module-level functions below
 specialised through ``functools.partial``.  The server's thread pool
-runs the kernel once per fragment; NumPy releases the GIL inside each
-stage, so fragments execute concurrently.
+runs the kernel once per fragment.  The stages below are whole-array
+NumPy with no per-element or per-time-step Python loop, so their time
+is spent inside NumPy calls that release the GIL and fragments execute
+concurrently (a user callable in :func:`stage_transform` may not).
 
 Stage protocol
 --------------
@@ -103,16 +105,24 @@ def run_lengths(mask: np.ndarray, axis: int) -> np.ndarray:
 
     Output[t] = k if a maximal run of k consecutive True values ends at
     position t, else 0.
+
+    Whole-array, no per-step loop: with ``idx`` counting steps from 1,
+    ``idx - maximum.accumulate(idx * ~mask)`` is the running length at
+    every step (each False step resets it to zero), kept only where a
+    run ends (``mask[t] & ~mask[t + 1]``).
     """
-    mask = np.asarray(mask, dtype=bool)
-    moved = np.moveaxis(mask, axis, 0)
+    moved = np.moveaxis(np.asarray(mask, dtype=bool), axis, 0)
     steps = moved.shape[0]
-    running = np.zeros(moved.shape[1:], dtype=np.int32)
-    out = np.zeros(moved.shape, dtype=np.int32)
-    for t in range(steps):
-        running = (running + 1) * moved[t]
-        ends = moved[t] & (~moved[t + 1] if t + 1 < steps else True)
-        out[t] = np.where(ends, running, 0)
+    idx = np.arange(1, steps + 1, dtype=np.int32).reshape(
+        (steps,) + (1,) * (moved.ndim - 1)
+    )
+    out = np.empty(moved.shape, dtype=np.int32)
+    np.multiply(idx, ~moved, out=out)
+    np.maximum.accumulate(out, axis=0, out=out)
+    np.subtract(idx, out, out=out)
+    ends = moved.copy()
+    ends[:-1] &= ~moved[1:]
+    np.multiply(out, ends, out=out)
     return np.moveaxis(out, 0, axis)
 
 

@@ -210,6 +210,37 @@ def _branch_value(text: str, measure: np.ndarray) -> Any:
         ) from None
 
 
+def _exact_scalar(value: float, dtype: np.dtype) -> Any:
+    """*value* as a *dtype* scalar if exactly representable there, else None."""
+    info = np.iinfo(dtype) if dtype.kind == "i" else np.finfo(dtype)
+    if not info.min <= value <= info.max:  # also rejects NaN
+        return None
+    typed = dtype.type(value)
+    return typed if typed == value else None
+
+
+def _typed_branches(then_value: Any, else_value: Any, out_type: np.dtype):
+    """Give literal predicate branches the output dtype where that is exact.
+
+    A Python-float literal makes ``np.where`` build a float64 result
+    whenever the other branch is a literal too or an integer measure, and
+    the final cast to *out_type* then runs over that intermediate.  A
+    literal typed in *out_type* lets ``np.where`` build the result in it
+    directly.  The cast result keeps every byte when each literal is
+    exactly representable in *out_type* and a measure branch already has
+    *out_type* and survives a float64 round trip (any type but
+    OPH_LONG); otherwise both branches are returned unchanged.
+    """
+    typed = tuple(
+        (b if b.dtype == out_type and out_type != np.int64 else None)
+        if isinstance(b, np.ndarray) else _exact_scalar(b, out_type)
+        for b in (then_value, else_value)
+    )
+    if any(t is None for t in typed):
+        return then_value, else_value
+    return typed
+
+
 def _eval(node, measure: np.ndarray) -> Any:
     kind = node[0]
     if kind == "measure":
@@ -246,6 +277,7 @@ def _eval_call(name: str, args: List, measure: np.ndarray) -> np.ndarray:
         comparator, threshold = _parse_condition(str(_eval(args[4], measure)))
         then_value = _branch_value(str(_eval(args[5], measure)), data)
         else_value = _branch_value(str(_eval(args[6], measure)), data)
+        then_value, else_value = _typed_branches(then_value, else_value, out_type)
         result = np.where(comparator(data, threshold), then_value, else_value)
         return np.asarray(result, dtype=out_type)
 

@@ -1,6 +1,9 @@
 """Span tree unit tests: nesting, propagation, gating, the collector."""
 
+import os
+import re
 import threading
+import warnings
 
 import pytest
 
@@ -18,6 +21,7 @@ from repro.observability import (
     snapshot_value,
     span,
 )
+from repro.observability.spans import _new_id
 
 
 @pytest.fixture()
@@ -183,3 +187,46 @@ class TestDropAccounting:
         warnings = [e for e in log.events(min_severity="WARNING")
                     if e.name == "trace_spans_dropped"]
         assert len(warnings) == 1  # first drop only
+
+
+class TestSpanIds:
+    def test_format_is_16_lowercase_hex(self):
+        ids = [_new_id() for _ in range(1000)]
+        assert all(re.fullmatch(r"[0-9a-f]{16}", i) for i in ids)
+
+    def test_unique_across_threads(self):
+        per_thread = 25_000
+        drawn = [[] for _ in range(4)]
+
+        def draw(out):
+            out.extend(_new_id() for _ in range(per_thread))
+
+        threads = [threading.Thread(target=draw, args=(out,)) for out in drawn]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        all_ids = [i for out in drawn for i in out]
+        assert len(all_ids) == 4 * per_thread
+        assert len(set(all_ids)) == len(all_ids)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_draws_different_ids(self):
+        read_end, write_end = os.pipe()
+        with warnings.catch_warnings():
+            # Forking a threaded test runner is fine here: the child only
+            # draws ids and exits.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the child
+            try:
+                os.write(write_end, " ".join(_new_id() for _ in range(8)).encode())
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        with os.fdopen(read_end) as pipe:
+            child_ids = pipe.read().split()
+        os.waitpid(pid, 0)
+        parent_ids = [_new_id() for _ in range(8)]
+        assert len(child_ids) == 8
+        assert not set(child_ids) & set(parent_ids)
