@@ -8,7 +8,7 @@ ESM simulation", reducing end-to-end time.
 Both modes run the identical workload (4 years, paced simulation); the
 sequential mode submits analytics only after the full simulation
 finishes.  Shape: overlapped makespan < sequential makespan, and the
-tracer shows nonzero ESM/analytics co-execution only in overlapped mode.
+task spans show nonzero ESM/analytics co-execution only in overlapped mode.
 """
 
 from benchmarks.conftest import print_table
@@ -46,7 +46,7 @@ def test_c1_overlap_beats_sequential(benchmark, tmp_path, tc_model_path,
     ovl_overlap = snapshot_value(
         overlapped["metrics"], "workflow_esm_analytics_overlap_seconds")
 
-    # The registry view must agree with the tracer-derived schedule.
+    # The registry view must agree with the span-derived schedule.
     assert seq_span == sequential["schedule"]["makespan_s"]
     assert ovl_overlap == overlapped["schedule"]["esm_analytics_overlap_s"]
 

@@ -76,16 +76,12 @@ def run_mode(label: str, poll_interval_s: float, supersteps: int):
                 token = join4(*[branch(token, j) for j in range(WIDTH)])
             compss_wait_on(token)
             n_tasks = len(runtime.graph)
-            events = runtime.tracer.events
-            epoch = runtime.tracer.epoch
         hist = get_registry().get("compss_ready_queue_latency_seconds")
         p95 = hist.quantile(0.95)
         trace_id = root.context.trace_id
     finally:
         set_registry(previous)
-    profile = profile_spans(
-        get_collector().for_trace(trace_id), events, tracer_epoch=epoch,
-    ).to_json()
+    profile = profile_spans(get_collector().for_trace(trace_id)).to_json()
     makespan = profile["makespan_s"]
     compute = profile["categories"].get("compute", 0.0)
     return {

@@ -19,8 +19,9 @@ workflow tasks at call time.  The runtime
   task-level checkpointing of Vergés et al. 2023,
 * supports streaming (directory-watching file streams and in-memory
   object streams) so consumers can overlap with a producing simulation,
-* records a trace of task executions and can export the run-time task
-  graph in DOT form — the artefact shown in the paper's Figure 3.
+* records each task attempt as a span in the run's trace and can export
+  the run-time task graph in DOT form — the artefact shown in the
+  paper's Figure 3.
 
 Tasks called while no runtime is active execute synchronously, mirroring
 PyCOMPSs' sequential (non-``runcompss``) behaviour, which keeps task
@@ -50,7 +51,6 @@ from repro.compss.scheduler import (
 from repro.compss.failures import OnFailure, TaskFailedError, TaskCancelledError
 from repro.compss.checkpoint import CheckpointManager
 from repro.compss.streams import ObjectDistroStream, FileDistroStream, StreamClosed
-from repro.compss.tracing import Tracer, TaskEvent
 from repro.compss.mpi import mpi, MiniComm, MPIError
 
 __all__ = [
@@ -64,6 +64,5 @@ __all__ = [
     "OnFailure", "TaskFailedError", "TaskCancelledError",
     "CheckpointManager",
     "ObjectDistroStream", "FileDistroStream", "StreamClosed",
-    "Tracer", "TaskEvent",
     "mpi", "MiniComm", "MPIError",
 ]

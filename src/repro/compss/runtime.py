@@ -34,7 +34,6 @@ from repro.compss.parameter import Direction
 from repro.compss.scheduler import FIFOPolicy, InstrumentedPolicy, SchedulerPolicy
 from repro.compss.task_graph import TaskGraph, TaskNode, TaskState
 from repro.compss.timerwheel import TimerWheel
-from repro.compss.tracing import TaskEvent, Tracer
 from repro.observability.events import emit_event
 from repro.observability.metrics import get_registry
 from repro.observability.spans import activate, current_context, maybe_span, record_span
@@ -47,6 +46,20 @@ _worker_context = threading.local()
 def in_worker() -> bool:
     """True when the calling thread is a COMPSs worker executing a task."""
     return getattr(_worker_context, "active", False)
+
+
+def _count_attempt(func_name: str, state: str, start: float) -> None:
+    """Feed one finished task attempt into the shared metrics registry."""
+    duration = _time.monotonic() - start
+    registry = get_registry()
+    registry.counter(
+        "compss_tasks_total", "Task attempts by function and final state",
+        labels=("function", "state"),
+    ).inc(function=func_name, state=state)
+    registry.histogram(
+        "compss_task_duration_seconds", "Task attempt wall time",
+        labels=("function",),
+    ).observe(duration, function=func_name)
 
 
 #: Process-wide chaos hook (see :func:`set_task_fault_injector`): used
@@ -170,7 +183,6 @@ class COMPSsRuntime:
     def __init__(self, config: Optional[RuntimeConfig] = None) -> None:
         self.config = config or RuntimeConfig()
         self.graph = TaskGraph()
-        self.tracer = Tracer()
         #: Telemetry wrapper: counts every scheduling decision in the
         #: shared registry without the policy implementations knowing.
         self._policy = InstrumentedPolicy(self.config.scheduler)
@@ -579,7 +591,7 @@ class COMPSsRuntime:
                        "function": node.func_name},
             ) as handle:
                 transfer_plan = self._plan_transfers(node, worker_id)
-                start = self.tracer.now()
+                start = _time.monotonic()
                 try:
                     injector = self.config.fault_injector or _ambient_fault_injector
                     if injector is not None:
@@ -613,16 +625,10 @@ class COMPSsRuntime:
                 except BaseException as exc:  # noqa: BLE001 - policy decides
                     handle.set_status("ERROR")
                     handle.set_attr("error", repr(exc))
-                    self.tracer.record(TaskEvent(
-                        node.task_id, node.func_name, worker_id,
-                        start, self.tracer.now(), "FAILED",
-                    ))
+                    _count_attempt(node.func_name, "FAILED", start)
                     self._handle_failure(node, exc)
                     return
-                self.tracer.record(TaskEvent(
-                    node.task_id, node.func_name, worker_id,
-                    start, self.tracer.now(), "COMPLETED",
-                ))
+                _count_attempt(node.func_name, "COMPLETED", start)
             self._complete(node, result, mat_args, mat_kwargs)
 
     @staticmethod

@@ -15,8 +15,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
-import networkx as nx
-
 
 class TaskState(enum.Enum):
     PENDING = "PENDING"       # submitted, dependencies outstanding
@@ -106,12 +104,16 @@ _PALETTE = (
 class TaskGraph:
     """Thread-safe DAG of task invocations.
 
-    Wraps a :class:`networkx.DiGraph` whose node keys are task ids and
-    whose nodes carry :class:`TaskNode` objects.
+    Plain insertion-ordered dicts: task id → :class:`TaskNode`, plus
+    successor and predecessor id lists.  :meth:`add_task` only links
+    producers that are already in the graph, so insertion order is a
+    topological order and the graph is acyclic by construction.
     """
 
     def __init__(self) -> None:
-        self._g = nx.DiGraph()
+        self._nodes: Dict[int, TaskNode] = {}
+        self._succ: Dict[int, List[int]] = {}
+        self._pred: Dict[int, List[int]] = {}
         self._lock = threading.Lock()
         self._colors: Dict[str, str] = {}
 
@@ -125,16 +127,19 @@ class TaskGraph:
         """
         outstanding: List[int] = []
         with self._lock:
-            self._g.add_node(node.task_id, task=node)
+            preds = [
+                dep_id for dep_id in set(depends_on)
+                if dep_id != node.task_id and dep_id in self._nodes
+            ]
+            self._nodes[node.task_id] = node
+            self._succ[node.task_id] = []
+            self._pred[node.task_id] = preds
             self._colors.setdefault(
                 node.func_name, _PALETTE[len(self._colors) % len(_PALETTE)]
             )
-            for dep_id in set(depends_on):
-                if dep_id == node.task_id or dep_id not in self._g:
-                    continue
-                self._g.add_edge(dep_id, node.task_id)
-                dep_task: TaskNode = self._g.nodes[dep_id]["task"]
-                if not dep_task.state.terminal:
+            for dep_id in preds:
+                self._succ[dep_id].append(node.task_id)
+                if not self._nodes[dep_id].state.terminal:
                     outstanding.append(dep_id)
         return outstanding
 
@@ -142,31 +147,38 @@ class TaskGraph:
 
     def task(self, task_id: int) -> TaskNode:
         with self._lock:
-            return self._g.nodes[task_id]["task"]
+            return self._nodes[task_id]
 
     def tasks(self) -> List[TaskNode]:
         with self._lock:
-            return [self._g.nodes[t]["task"] for t in sorted(self._g.nodes)]
+            return [self._nodes[t] for t in sorted(self._nodes)]
 
     def successors(self, task_id: int) -> List[int]:
         with self._lock:
-            return list(self._g.successors(task_id))
+            return list(self._succ[task_id])
 
     def predecessors(self, task_id: int) -> List[int]:
         with self._lock:
-            return list(self._g.predecessors(task_id))
+            return list(self._pred[task_id])
 
     def descendants(self, task_id: int) -> Set[int]:
         with self._lock:
-            return set(nx.descendants(self._g, task_id))
+            seen: Set[int] = set()
+            frontier = list(self._succ[task_id])
+            while frontier:
+                current = frontier.pop()
+                if current not in seen:
+                    seen.add(current)
+                    frontier.extend(self._succ[current])
+            return seen
 
     def edges(self) -> List[Tuple[int, int]]:
         with self._lock:
-            return list(self._g.edges)
+            return [(src, dst) for src, dsts in self._succ.items() for dst in dsts]
 
     def __len__(self) -> int:
         with self._lock:
-            return self._g.number_of_nodes()
+            return len(self._nodes)
 
     def counts_by_function(self) -> Counter:
         """Task multiset keyed by function name (Fig-3 style summary)."""
@@ -176,30 +188,30 @@ class TaskGraph:
         return Counter(t.state.value for t in self.tasks())
 
     def is_dag(self) -> bool:
+        """Every edge runs from an earlier-inserted task to a later one."""
         with self._lock:
-            return nx.is_directed_acyclic_graph(self._g)
+            position = {task_id: i for i, task_id in enumerate(self._nodes)}
+            return all(
+                position[src] < position[dst]
+                for src, dsts in self._succ.items() for dst in dsts
+            )
+
+    def _levels(self) -> List[int]:
+        """Longest edge count from a source to each task, one pass in
+        insertion (= topological) order."""
+        with self._lock:
+            level: Dict[int, int] = {}
+            for task_id, preds in self._pred.items():
+                level[task_id] = max((level[p] + 1 for p in preds), default=0)
+            return list(level.values())
 
     def critical_path_length(self) -> int:
         """Longest chain of tasks (nodes), 0 for an empty graph."""
-        with self._lock:
-            if self._g.number_of_nodes() == 0:
-                return 0
-            return nx.dag_longest_path_length(self._g) + 1
+        return max(self._levels(), default=-1) + 1
 
     def max_width(self) -> int:
         """Size of the largest antichain level (upper bound on parallelism)."""
-        with self._lock:
-            if self._g.number_of_nodes() == 0:
-                return 0
-            levels = Counter()
-            for node in nx.topological_sort(self._g):
-                depth = max(
-                    (self._g.nodes[p]["level"] for p in self._g.predecessors(node)),
-                    default=-1,
-                ) + 1
-                self._g.nodes[node]["level"] = depth
-                levels[depth] += 1
-            return max(levels.values())
+        return max(Counter(self._levels()).values(), default=0)
 
     # -- export ---------------------------------------------------------------
 

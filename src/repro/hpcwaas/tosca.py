@@ -8,10 +8,9 @@ walks templates in dependency order.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
-
-import networkx as nx
+from typing import Any, Dict, List, Set
 
 from repro.hpcwaas.yamlsubset import parse_yaml
 
@@ -46,32 +45,55 @@ class Topology:
 
     def validate(self) -> None:
         """Check requirement targets exist and the dependency graph is a DAG."""
-        for template in self.node_templates.values():
-            for req in template.requirements:
-                if req not in self.node_templates:
+        self.deployment_order()
+
+    def deployment_order(self) -> List[NodeTemplate]:
+        """Templates sorted so requirements deploy before dependents.
+
+        Kahn's algorithm over requirement → dependent edges; among the
+        templates ready at each step the smallest name goes first, so
+        the order is the lexicographically smallest topological one.
+        """
+        templates = self.node_templates
+        dependents: Dict[str, List[str]] = {name: [] for name in templates}
+        pending = dict.fromkeys(templates, 0)
+        for template in templates.values():
+            for req in dict.fromkeys(template.requirements):
+                if req not in templates:
                     raise TOSCAError(
                         f"template {template.name!r} requires unknown node {req!r}"
                     )
-        g = self.dependency_graph()
-        if not nx.is_directed_acyclic_graph(g):
-            cycle = nx.find_cycle(g)
-            raise TOSCAError(f"requirement cycle: {cycle}")
+                dependents[req].append(template.name)
+                pending[template.name] += 1
+        ready = [name for name, n in pending.items() if n == 0]
+        heapq.heapify(ready)
+        order: List[str] = []
+        while ready:
+            name = heapq.heappop(ready)
+            order.append(name)
+            for dependent in dependents[name]:
+                pending[dependent] -= 1
+                if pending[dependent] == 0:
+                    heapq.heappush(ready, dependent)
+        if len(order) < len(templates):
+            cycle = self._cycle_among(set(templates) - set(order))
+            raise TOSCAError(f"requirement cycle: {' -> '.join(cycle)}")
+        return [templates[name] for name in order]
 
-    def dependency_graph(self) -> nx.DiGraph:
-        """Edges point requirement → dependent (provision order)."""
-        g = nx.DiGraph()
-        g.add_nodes_from(self.node_templates)
-        for template in self.node_templates.values():
-            for req in template.requirements:
-                if req in self.node_templates:
-                    g.add_edge(req, template.name)
-        return g
+    def _cycle_among(self, blocked: Set[str]) -> List[str]:
+        """One requirement cycle inside *blocked* (templates Kahn could
+        not order), as ``[a, ..., a]`` in requirement → dependent order.
 
-    def deployment_order(self) -> List[NodeTemplate]:
-        """Templates sorted so requirements deploy before dependents."""
-        self.validate()
-        order = nx.lexicographical_topological_sort(self.dependency_graph())
-        return [self.node_templates[name] for name in order]
+        Every blocked template has a blocked requirement, so walking
+        requirements from any of them must revisit one.
+        """
+        path = [min(blocked)]
+        while True:
+            name = min(r for r in self.node_templates[path[-1]].requirements
+                       if r in blocked)
+            if name in path:
+                return (path[path.index(name):] + [name])[::-1]
+            path.append(name)
 
 
 def topology_from_yaml(text: str) -> Topology:

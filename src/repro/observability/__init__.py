@@ -47,10 +47,13 @@ from repro.observability.export import (
     snapshot_from_json,
 )
 from repro.observability.profile import (
+    TaskAttempt,
     WorkflowProfile,
     profile_from_perfetto,
     profile_spans,
     render_profile,
+    schedule_stats,
+    task_attempts,
 )
 from repro.observability.baseline import (
     GateReport,
@@ -126,10 +129,13 @@ __all__ = [
     "build_perfetto_trace",
     "render_run_report",
     "snapshot_from_json",
+    "TaskAttempt",
     "WorkflowProfile",
     "profile_spans",
     "profile_from_perfetto",
     "render_profile",
+    "schedule_stats",
+    "task_attempts",
     "GateReport",
     "capture_baseline",
     "compare_to_baseline",

@@ -1,25 +1,18 @@
-"""Exporters: merged Chrome/Perfetto traces and plain-text run reports.
+"""Exporters: Chrome/Perfetto traces and plain-text run reports.
 
-:func:`build_perfetto_trace` merges the span tree recorded by the
-:class:`~repro.observability.spans.TraceCollector` with the per-task
-schedule recorded by the COMPSs
-:class:`~repro.compss.tracing.Tracer` into one trace-event JSON that
-loads in ``chrome://tracing`` or https://ui.perfetto.dev:
-
-* pid 1 ("spans") — one lane per executing thread; nested spans render
-  as call stacks, with the layer in the event category.
-* pid 2 ("compss schedule") — one lane per COMPSs worker, the classic
-  Extrae/Paraver-style task gantt.
-
-Both sides share the ``time.monotonic`` clock: span timestamps are
-absolute monotonic, tracer events are relative to the tracer's epoch,
-so passing ``tracer_epoch`` aligns them exactly.
+:func:`build_perfetto_trace` writes the span tree recorded by the
+:class:`~repro.observability.spans.TraceCollector` as trace-event JSON
+that loads in ``chrome://tracing`` or https://ui.perfetto.dev: pid 1
+("spans") holds one lane per executing thread, nested spans render as
+call stacks, and the layer is the event category.  Each COMPSs worker
+thread's lane is the classic Extrae/Paraver-style task gantt: one
+``compss`` span per task attempt.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.observability.metrics import (
     MetricsSnapshot,
@@ -34,28 +27,16 @@ __all__ = [
 ]
 
 _SPAN_PID = 1
-_TASKS_PID = 2
 
 
-def build_perfetto_trace(
-    spans: Sequence[Span],
-    task_events: Optional[Iterable[Any]] = None,
-    tracer_epoch: Optional[float] = None,
-    dropped: int = 0,
-) -> str:
-    """Merge spans and COMPSs task events into trace-event JSON.
+def build_perfetto_trace(spans: Sequence[Span], *, dropped: int = 0) -> str:
+    """Spans as trace-event JSON.
 
-    *task_events* are :class:`~repro.compss.tracing.TaskEvent` records;
-    *tracer_epoch* is the tracer's ``epoch`` (monotonic seconds), needed
-    to place them on the spans' clock.  Timestamps are shifted so the
-    trace starts at 0.  *dropped* (the collector's drop count) is
-    stamped into the trace as metadata so a truncated trace says so.
+    Timestamps are shifted so the trace starts at 0.  *dropped* (the
+    collector's drop count) is stamped into the trace as metadata so a
+    truncated trace says so.
     """
-    task_events = list(task_events or [])
-    starts: List[float] = [s.start for s in spans]
-    if task_events and tracer_epoch is not None:
-        starts.extend(tracer_epoch + e.start for e in task_events)
-    t0 = min(starts) if starts else 0.0
+    t0 = min((s.start for s in spans), default=0.0)
 
     events: List[Dict[str, Any]] = [
         {"ph": "M", "pid": _SPAN_PID, "name": "process_name",
@@ -91,27 +72,6 @@ def build_perfetto_trace(
     for tid, name in seen_threads.items():
         events.append({"ph": "M", "pid": _SPAN_PID, "tid": tid,
                        "name": "thread_name", "args": {"name": name}})
-
-    if task_events:
-        epoch = tracer_epoch if tracer_epoch is not None else t0
-        events.append({"ph": "M", "pid": _TASKS_PID, "name": "process_name",
-                       "args": {"name": "compss schedule"}})
-        workers = sorted({e.worker_id for e in task_events})
-        for w in workers:
-            events.append({"ph": "M", "pid": _TASKS_PID, "tid": w,
-                           "name": "thread_name",
-                           "args": {"name": f"worker-{w}"}})
-        for e in task_events:
-            events.append({
-                "name": f"{e.func_name}#{e.task_id}",
-                "cat": e.state,
-                "ph": "X",
-                "ts": round((epoch + e.start - t0) * 1e6, 3),
-                "dur": round(max(e.duration, 0.0) * 1e6, 3),
-                "pid": _TASKS_PID,
-                "tid": e.worker_id,
-                "args": {"task_id": e.task_id, "state": e.state},
-            })
 
     return json.dumps({"traceEvents": events, "displayTimeUnit": "ms"})
 

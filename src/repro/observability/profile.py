@@ -1,12 +1,12 @@
 """Post-hoc workflow profiler: critical path, timelines, what-ifs.
 
-A finished run leaves two artefacts behind: the span tree recorded by
-the :class:`~repro.observability.spans.TraceCollector` (every layer —
+A finished run leaves its span tree behind in the
+:class:`~repro.observability.spans.TraceCollector`: every layer —
 COMPSs tasks, scheduler queueing, transfers, filesystem I/O, Ophidia
-sweeps, batch jobs — parents into one ``workflow.run`` root) and the
-per-task schedule recorded by the COMPSs
-:class:`~repro.compss.tracing.Tracer`.  This module turns them into the
-quantities a performance engineer actually acts on:
+sweeps, batch jobs — parents into one ``workflow.run`` root, and each
+COMPSs task attempt is one ``compss`` compute span carrying its task id,
+function and worker (:func:`task_attempts`).  This module turns the
+tree into the quantities a performance engineer actually acts on:
 
 * **critical path** — the chain of span segments that bounds the
   makespan.  The walk descends from the root span: within any span's
@@ -18,7 +18,7 @@ quantities a performance engineer actually acts on:
   segment is attributed to a cost category (queue / transfer / compute /
   io / orchestration) from its span's attributes.
 * **utilization timelines** — per-worker busy/idle/blocked intervals
-  derived from the task schedule ("blocked" = idle while ready work was
+  derived from the task attempts ("blocked" = idle while ready work was
   waiting in the scheduler queue), plus straggler detection and the
   ESM-simulation / analytics overlap fraction (the paper's C1 claim).
 * **what-if estimates** — the predicted makespan if the top-k critical
@@ -49,14 +49,15 @@ from repro.observability.spans import Span
 __all__ = [
     "CATEGORIES",
     "ProfileError",
-    "ProfileTaskEvent",
+    "TaskAttempt",
     "WorkflowProfile",
     "categorize_span",
     "profile_from_perfetto",
     "profile_spans",
     "render_profile",
+    "schedule_stats",
     "spans_from_perfetto",
-    "task_events_from_perfetto",
+    "task_attempts",
 ]
 
 #: Cost categories every critical-path segment is attributed to.
@@ -78,9 +79,13 @@ class ProfileError(ValueError):
     """The trace is unusable for profiling (empty, or no root span)."""
 
 
+#: Span status → task-attempt state.
+_ATTEMPT_STATES = {"OK": "COMPLETED", "ERROR": "FAILED"}
+
+
 @dataclass(frozen=True)
-class ProfileTaskEvent:
-    """A task attempt on the *span* clock (used for timelines/overlap)."""
+class TaskAttempt:
+    """One COMPSs task attempt on one worker, on the span clock."""
 
     task_id: int
     func_name: str
@@ -180,6 +185,63 @@ def _complement(
 
 def _length(merged: List[Tuple[float, float]]) -> float:
     return sum(e - s for s, e in merged)
+
+
+# ---------------------------------------------------------------------------
+# Task attempts: the COMPSs schedule, read from the spans
+# ---------------------------------------------------------------------------
+
+def task_attempts(spans: Iterable[Span]) -> List[TaskAttempt]:
+    """The COMPSs task attempts recorded in *spans*.
+
+    Each attempt is the ``compss`` span the runtime opens around one
+    execution (``category="compute"`` with a ``task_id``); the layer
+    test matters because LSF batch-job spans are ``compute`` too.
+    """
+    return [
+        TaskAttempt(
+            task_id=int(s.attrs["task_id"]),
+            func_name=str(s.attrs.get("function") or _name_key(s.name)),
+            worker_id=int(s.attrs.get("worker_id", 0)),
+            start=s.start, end=s.end,
+            state=_ATTEMPT_STATES.get(s.status, s.status),
+        )
+        for s in spans
+        if s.layer == "compss" and s.attrs.get("category") == "compute"
+        and "task_id" in s.attrs
+    ]
+
+
+def schedule_stats(
+    attempts: Sequence[TaskAttempt],
+    n_workers: int,
+    analytics_functions: Iterable[str],
+    esm_functions: Iterable[str] = ("esm_simulation",),
+) -> Dict[str, float]:
+    """A run summary's ``schedule`` timing over its task attempts.
+
+    * ``makespan_s`` — first attempt start to last attempt end;
+    * ``esm_analytics_overlap_s`` — seconds during which an ESM attempt
+      and an analytics attempt ran at once, each second counted once
+      however many analytics tasks shared it (the paper's C1 claim);
+    * ``worker_utilisation`` — busy time / (workers x makespan).
+    """
+    if not attempts:
+        return {"makespan_s": 0.0, "esm_analytics_overlap_s": 0.0,
+                "worker_utilisation": 0.0}
+    makespan = max(a.end for a in attempts) - min(a.start for a in attempts)
+    esm, analytics = frozenset(esm_functions), frozenset(analytics_functions)
+    overlap = _overlap(
+        _merge((a.start, a.end) for a in attempts if a.func_name in esm),
+        _merge((a.start, a.end) for a in attempts if a.func_name in analytics),
+    )
+    busy = sum(a.duration for a in attempts)
+    return {
+        "makespan_s": makespan,
+        "esm_analytics_overlap_s": overlap,
+        "worker_utilisation": busy / (n_workers * makespan)
+        if makespan > 0 and n_workers > 0 else 0.0,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -304,19 +366,15 @@ def _pick_root(spans: Sequence[Span]) -> Span:
 
 def profile_spans(
     spans: Sequence[Span],
-    task_events: Iterable[Any] = (),
-    tracer_epoch: Optional[float] = None,
     esm_functions: Iterable[str] = ("esm_simulation",),
     analytics_functions: Optional[Iterable[str]] = None,
     what_if_top_k: int = 5,
     straggler_factor: float = 3.0,
 ) -> WorkflowProfile:
-    """Profile one finished run from its span tree and task schedule.
+    """Profile one finished run from its span tree.
 
-    *task_events* are tracer ``TaskEvent``-shaped records; with
-    *tracer_epoch* given they are shifted from tracer-relative onto the
-    spans' monotonic clock (exactly how the Perfetto exporter aligns
-    them), otherwise they are assumed to share the spans' clock already.
+    The task schedule (timelines, stragglers, overlap) comes from the
+    COMPSs task attempts among *spans* (:func:`task_attempts`).
     *analytics_functions* defaults to every task function that is not an
     ESM function.
     """
@@ -374,15 +432,7 @@ def profile_spans(
         })
 
     # -- task schedule: timelines, stragglers, overlap ----------------------
-    events: List[ProfileTaskEvent] = []
-    for e in task_events:
-        shift = tracer_epoch if tracer_epoch is not None else 0.0
-        events.append(ProfileTaskEvent(
-            task_id=int(e.task_id), func_name=str(e.func_name),
-            worker_id=int(e.worker_id),
-            start=shift + float(e.start), end=shift + float(e.end),
-            state=str(e.state),
-        ))
+    events = task_attempts(spans)
     executed = [e for e in events if e.duration > 0.0]
 
     workers: Dict[str, Dict[str, Any]] = {}
@@ -403,7 +453,7 @@ def profile_spans(
             (s.start, s.end) for s in spans
             if s.layer == "scheduler" or s.name.startswith("queue:")
         )
-        by_worker: Dict[int, List[ProfileTaskEvent]] = {}
+        by_worker: Dict[int, List[TaskAttempt]] = {}
         for e in executed:
             by_worker.setdefault(e.worker_id, []).append(e)
         for wid in sorted(by_worker):
@@ -517,42 +567,17 @@ def spans_from_perfetto(payload: Mapping[str, Any]) -> List[Span]:
     return spans
 
 
-def task_events_from_perfetto(payload: Mapping[str, Any]) -> List[ProfileTaskEvent]:
-    """Rebuild the COMPSs schedule (pid-2) from an exported trace.
-
-    The exporter already placed these on the spans' (shifted) clock, so
-    the events feed :func:`profile_spans` with ``tracer_epoch=None``.
-    """
-    events: List[ProfileTaskEvent] = []
-    for ev in payload.get("traceEvents", ()):
-        if ev.get("ph") != "X" or ev.get("pid") != 2:
-            continue
-        args = dict(ev.get("args") or {})
-        name = str(ev.get("name", ""))
-        func = _TASK_SUFFIX.sub("", name)
-        start = float(ev["ts"]) / 1e6
-        events.append(ProfileTaskEvent(
-            task_id=int(args.get("task_id", 0)),
-            func_name=func,
-            worker_id=int(ev.get("tid", 0)),
-            start=start,
-            end=start + float(ev.get("dur", 0.0)) / 1e6,
-            state=str(args.get("state", ev.get("cat", ""))),
-        ))
-    return events
-
-
 def profile_from_perfetto(payload: Mapping[str, Any], **kwargs: Any) -> WorkflowProfile:
     """Profile an exported ``trace.json`` (Perfetto trace-event JSON).
 
     Keyword arguments are passed through to :func:`profile_spans`.
+    Traces that still carry the retired pid-2 "compss schedule" lane
+    profile the same: only the pid-1 spans are read.
     """
     spans = spans_from_perfetto(payload)
     if not spans:
         raise ProfileError("trace.json contains no span events (pid 1)")
-    return profile_spans(
-        spans, task_events_from_perfetto(payload), tracer_epoch=None, **kwargs
-    )
+    return profile_spans(spans, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +597,7 @@ def render_profile(profile: "WorkflowProfile | Mapping[str, Any]",
     ]
     if data.get("task_window_s"):
         lines.append(f"  task window       {data['task_window_s']:9.3f}s "
-                     f"({data['n_task_events']} task events)")
+                     f"({data['n_task_events']} task attempts)")
 
     lines.append("")
     lines.append("critical seconds by category")

@@ -30,6 +30,7 @@ from repro.observability import (
     get_collector,
     get_registry,
     profile_spans,
+    schedule_stats,
     span,
 )
 from repro.ophidia import Client, OphidiaServer
@@ -39,6 +40,7 @@ from repro.workflow.extreme_events import (
     ANALYTICS_TASKS,
     RunControlPlane,
     YearCollector,
+    traced_attempts,
 )
 
 
@@ -121,6 +123,7 @@ def run_distributed_extreme_events(
             p.events_path or ana.filesystem.path(f"{p.results_dir}/events.jsonl"),
         )
         control.begin()
+        dropped_before = get_collector().dropped
         with span(
             "workflow.run-distributed", layer="workflow",
             attrs={"years": len(p.years), "n_days": p.n_days,
@@ -220,12 +223,10 @@ def run_distributed_extreme_events(
                 "n_edges": len(runtime.graph.edges()),
                 "by_function": dict(runtime.graph.counts_by_function()),
             }
-            summary["schedule"] = {
-                "makespan_s": runtime.tracer.makespan(),
-                "esm_analytics_overlap_s": runtime.tracer.overlap_group_seconds(
-                    "esm_simulation", set(ANALYTICS_TASKS) | {"transfer_year"}
-                ),
-            }
+            attempts = traced_attempts(dropped_before)
+            summary["schedule"] = {} if attempts is None else schedule_stats(
+                attempts, p.n_workers, set(ANALYTICS_TASKS) | {"transfer_year"}
+            )
             summary["federation"] = {
                 "sites": federation.sites,
                 "roles": federation.roles,
@@ -250,8 +251,7 @@ def run_distributed_extreme_events(
     trace_spans = get_collector().for_trace(summary["trace_id"])
     try:
         profile = profile_spans(
-            trace_spans, runtime.tracer.events,
-            tracer_epoch=runtime.tracer.epoch,
+            trace_spans,
             esm_functions=("esm_simulation",),
             analytics_functions=set(ANALYTICS_TASKS) | {"transfer_year"},
         ).to_json()
@@ -281,11 +281,7 @@ def run_distributed_extreme_events(
         summary["spans_dropped"] = dropped_spans
     ana.filesystem.write_bytes(
         f"{p.results_dir}/trace.json",
-        build_perfetto_trace(
-            trace_spans,
-            runtime.tracer.events, tracer_epoch=runtime.tracer.epoch,
-            dropped=dropped_spans,
-        ).encode(),
+        build_perfetto_trace(trace_spans, dropped=dropped_spans).encode(),
     )
     if profile is not None:
         ana.filesystem.write_bytes(

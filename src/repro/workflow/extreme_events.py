@@ -27,11 +27,14 @@ from repro.compss.streams import FileDistroStream, StreamClosed
 from repro.esm import parse_daily_filename
 from repro.observability import (
     MetricsSnapshot,
+    TaskAttempt,
     build_perfetto_trace,
     get_collector,
     get_registry,
     profile_spans,
+    schedule_stats,
     span,
+    task_attempts,
 )
 from repro.observability.events import get_event_log, run_scope
 from repro.observability.history import (
@@ -51,6 +54,19 @@ ANALYTICS_TASKS = frozenset({
     "tc_preprocess", "tc_inference", "tc_georeference",
     "tc_deterministic_tracking", "validate_and_store", "make_map",
 })
+
+
+def traced_attempts(dropped_before: int) -> Optional[List[TaskAttempt]]:
+    """The COMPSs task attempts of the active trace, read from its spans.
+
+    ``None`` when the collector has dropped spans since it counted
+    *dropped_before*: a truncated span set would report a made-up
+    schedule (a makespan SLO would pass on a false 0).
+    """
+    collector = get_collector()
+    if collector.dropped > dropped_before:
+        return None
+    return task_attempts(collector.for_trace(current_context().trace_id))
 
 
 class YearCollector:
@@ -341,17 +357,18 @@ def run_extreme_events_workflow(
     # and metrics artefacts are exported afterwards.
     summary["trace_id"] = trace_id
     summary["run_id"] = control.run_id
-    schedule = summary.get("schedule", {})
-    registry.gauge(
-        "workflow_makespan_seconds", "Makespan of the last workflow run"
-    ).set(schedule.get("makespan_s", 0.0))
-    registry.gauge(
-        "workflow_esm_analytics_overlap_seconds",
-        "ESM/analytics overlap of the last run (claim C1)",
-    ).set(schedule.get("esm_analytics_overlap_s", 0.0))
-    registry.gauge(
-        "workflow_worker_utilisation", "Worker utilisation of the last run"
-    ).set(schedule.get("worker_utilisation", 0.0))
+    schedule = summary["schedule"]
+    if "makespan_s" in schedule:  # absent when the run's spans were dropped
+        registry.gauge(
+            "workflow_makespan_seconds", "Makespan of the last workflow run"
+        ).set(schedule["makespan_s"])
+        registry.gauge(
+            "workflow_esm_analytics_overlap_seconds",
+            "ESM/analytics overlap of the last run (claim C1)",
+        ).set(schedule["esm_analytics_overlap_s"])
+        registry.gauge(
+            "workflow_worker_utilisation", "Worker utilisation of the last run"
+        ).set(schedule["worker_utilisation"])
 
     # Critical-path profile of the run just recorded.  Computed before
     # the metrics delta so the critical-path gauge lands in this run's
@@ -359,8 +376,7 @@ def run_extreme_events_workflow(
     trace_spans = get_collector().for_trace(trace_id)
     try:
         profile = profile_spans(
-            trace_spans, runtime.tracer.events,
-            tracer_epoch=runtime.tracer.epoch,
+            trace_spans,
             esm_functions=("esm_simulation",),
             analytics_functions=ANALYTICS_TASKS,
         ).to_json()
@@ -391,11 +407,7 @@ def run_extreme_events_workflow(
         summary["spans_dropped"] = dropped_spans
     _write_artifact(
         fs, f"{p.results_dir}/trace.json",
-        build_perfetto_trace(
-            trace_spans,
-            runtime.tracer.events, tracer_epoch=runtime.tracer.epoch,
-            dropped=dropped_spans,
-        ).encode(),
+        build_perfetto_trace(trace_spans, dropped=dropped_spans).encode(),
     )
     if profile is not None:
         _write_artifact(
@@ -422,6 +434,7 @@ def _run_traced(
     cluster: Cluster, p: WorkflowParams, fs, pace_seconds: float
 ) -> "tuple[Dict[str, Any], Any]":
     """The traced workflow body; returns (summary, runtime)."""
+    dropped_before = get_collector().dropped
     tc_model_path = None
     if p.with_ml:
         tc_model_path = tasks.ensure_tc_model(
@@ -650,12 +663,10 @@ def _run_traced(
                     "simulation was still running (last run)",
                 ).set(pipelined_years)
                 fs_stats = fs.stats
+                attempts = traced_attempts(dropped_before)
                 summary["schedule"] = {
-                    "makespan_s": runtime.tracer.makespan(),
-                    "esm_analytics_overlap_s": runtime.tracer.overlap_group_seconds(
-                        "esm_simulation", ANALYTICS_TASKS
-                    ),
-                    "worker_utilisation": runtime.tracer.worker_utilisation(p.n_workers),
+                    **({} if attempts is None else schedule_stats(
+                        attempts, p.n_workers, ANALYTICS_TASKS)),
                     "transfers": dict(runtime.transfer_stats),
                     "pipelined_years": pipelined_years,
                 }
@@ -671,6 +682,7 @@ def _run_traced(
                 summary["provenance_path"] = _retry_transient(
                     lambda: write_provenance(
                         runtime, fs, path=f"{p.results_dir}/provenance.json",
+                        attempts=attempts or (),
                         params={"years": p.years, "n_days": p.n_days,
                                 "scenario": p.scenario, "seed": p.seed},
                         output_dirs=[p.results_dir],

@@ -8,7 +8,8 @@ a completed run into a W3C-PROV-flavoured JSON document:
 * **agents** — the software components (runtime, model, analytics) with
   versions;
 * **activities** — one per executed task, with timing, state and the
-  executing worker (from the tracer);
+  executing worker (from the task attempts in the run's spans; times
+  are seconds since the run's first attempt started);
 * **entities** — the files the run produced on the shared filesystem,
   with sizes and a content digest (Findable/Accessible);
 * **relations** — ``wasGeneratedBy`` edges from the task graph's data
@@ -20,10 +21,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.cluster.filesystem import SharedFilesystem
 from repro.compss.runtime import COMPSsRuntime
+from repro.observability.profile import TaskAttempt
 
 PROV_VERSION = "repro-prov/1.0"
 
@@ -85,11 +87,14 @@ def science_digests(
     return digests
 
 
-def collect_activities(runtime: COMPSsRuntime) -> List[Dict[str, Any]]:
-    """One PROV activity per task, joined with its trace events."""
-    events_by_task: Dict[int, List] = {}
-    for event in runtime.tracer.events:
-        events_by_task.setdefault(event.task_id, []).append(event)
+def collect_activities(
+    runtime: COMPSsRuntime, attempts: Sequence[TaskAttempt] = ()
+) -> List[Dict[str, Any]]:
+    """One PROV activity per task, joined with its task *attempts*."""
+    origin = min((a.start for a in attempts), default=0.0)
+    attempts_by_task: Dict[int, List[TaskAttempt]] = {}
+    for attempt in attempts:
+        attempts_by_task.setdefault(attempt.task_id, []).append(attempt)
 
     activities = []
     for node in runtime.graph.tasks():
@@ -104,11 +109,11 @@ def collect_activities(runtime: COMPSsRuntime) -> List[Dict[str, Any]]:
                 runtime.graph.predecessors(node.task_id)
             ],
         }
-        events = events_by_task.get(node.task_id)
-        if events:
-            last = max(events, key=lambda e: e.end)
-            record["startedAt_s"] = round(min(e.start for e in events), 6)
-            record["endedAt_s"] = round(last.end, 6)
+        tried = attempts_by_task.get(node.task_id)
+        if tried:
+            last = max(tried, key=lambda a: a.end)
+            record["startedAt_s"] = round(min(a.start for a in tried) - origin, 6)
+            record["endedAt_s"] = round(last.end - origin, 6)
             record["worker"] = last.worker_id
         activities.append(record)
     return activities
@@ -119,8 +124,14 @@ def build_provenance(
     filesystem: SharedFilesystem,
     params: Optional[Dict[str, Any]] = None,
     output_dirs: Optional[List[str]] = None,
+    attempts: Sequence[TaskAttempt] = (),
 ) -> Dict[str, Any]:
-    """Assemble the full provenance document for a completed run."""
+    """Assemble the full provenance document for a completed run.
+
+    *attempts* are the run's task attempts
+    (:func:`~repro.observability.profile.task_attempts` over its spans);
+    without them activities carry no timing and the makespan is null.
+    """
     import repro
 
     agents = [
@@ -134,13 +145,14 @@ def build_provenance(
     document = {
         "prov_version": PROV_VERSION,
         "agents": agents,
-        "activities": collect_activities(runtime),
+        "activities": collect_activities(runtime, attempts),
         "entities": collect_entities(filesystem, output_dirs or ["results"]),
         "parameters": dict(params or {}),
         "statistics": {
             "n_tasks": len(runtime.graph),
             "n_edges": len(runtime.graph.edges()),
-            "makespan_s": runtime.tracer.makespan(),
+            "makespan_s": max(a.end for a in attempts)
+            - min(a.start for a in attempts) if attempts else None,
             "by_state": dict(runtime.graph.counts_by_state()),
         },
     }

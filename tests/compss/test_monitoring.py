@@ -1,12 +1,11 @@
-"""Runtime monitoring snapshot and tracer hotspot tests."""
+"""Runtime monitoring snapshot tests."""
 
 import threading
 import time
 
 import pytest
 
-from repro.compss import COMPSs, compss_barrier, compss_wait_on, task
-from repro.compss.tracing import TaskEvent, Tracer
+from repro.compss import COMPSs, compss_barrier, task
 
 
 class TestRuntimeStatus:
@@ -55,40 +54,3 @@ class TestRuntimeStatus:
     def test_free_units_accounting(self):
         with COMPSs(n_workers=3) as rt:
             assert rt.status()["free_computing_units"] == 3
-
-
-class TestHotspots:
-    def test_ranked_by_total_time(self):
-        tr = Tracer()
-        tr.record(TaskEvent(1, "slow", 0, 0.0, 3.0, "COMPLETED"))
-        tr.record(TaskEvent(2, "fast", 0, 3.0, 3.5, "COMPLETED"))
-        tr.record(TaskEvent(3, "fast", 1, 3.0, 3.4, "COMPLETED"))
-        hot = tr.hotspots()
-        assert hot[0] == ("slow", pytest.approx(3.0), 1)
-        assert hot[1][0] == "fast"
-        assert hot[1][2] == 2
-
-    def test_top_limits_output(self):
-        tr = Tracer()
-        for i in range(8):
-            tr.record(TaskEvent(i, f"f{i}", 0, 0.0, float(i + 1), "COMPLETED"))
-        assert len(tr.hotspots(top=3)) == 3
-        assert tr.hotspots(top=3)[0][0] == "f7"
-
-    def test_empty_tracer(self):
-        assert Tracer().hotspots() == []
-
-    def test_real_run_hotspots(self):
-        @task(returns=1)
-        def lazy():
-            time.sleep(0.05)
-            return 1
-
-        @task(returns=1)
-        def eager():
-            return 1
-
-        with COMPSs(n_workers=2) as rt:
-            compss_wait_on([lazy(), eager(), eager()])
-            hot = rt.tracer.hotspots()
-        assert hot[0][0] == "lazy"

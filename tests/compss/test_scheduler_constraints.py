@@ -1,4 +1,4 @@
-"""Scheduler policies, @constraint resource units, graph export, tracing."""
+"""Scheduler policies, @constraint resource units, graph export, task spans."""
 
 import threading
 import time
@@ -217,34 +217,34 @@ class TestGraphArtifacts:
 
 class TestTracing:
     def test_tracer_records_events_and_makespan(self):
+        from repro.observability import (
+            get_collector, schedule_stats, span, task_attempts,
+        )
+
         @task(returns=1)
         def work():
             time.sleep(0.02)
             return 1
 
-        with COMPSs(n_workers=2) as rt:
-            compss_wait_on([work() for _ in range(4)])
-            events = rt.tracer.events
-            assert len(events) == 4
-            assert all(e.state == "COMPLETED" for e in events)
-            assert rt.tracer.makespan() >= 0.02
-            assert rt.tracer.time_by_function()["work"] >= 0.08 * 0.5
-            assert 0 < rt.tracer.worker_utilisation(2) <= 1.0
+        with span("test.root", layer="workflow") as root:
+            with COMPSs(n_workers=2):
+                compss_wait_on([work() for _ in range(4)])
+        attempts = task_attempts(get_collector().for_trace(root.context.trace_id))
+        assert len(attempts) == 4
+        assert all(a.state == "COMPLETED" for a in attempts)
+        assert sum(a.duration for a in attempts) >= 0.08 * 0.5
+        stats = schedule_stats(attempts, 2, {"work"})
+        assert stats["makespan_s"] >= 0.02
+        assert 0 < stats["worker_utilisation"] <= 1.0
 
     def test_overlap_metric(self):
-        from repro.compss.tracing import TaskEvent, Tracer
+        from repro.observability import TaskAttempt, schedule_stats
 
-        tr = Tracer()
-        tr.record(TaskEvent(1, "sim", 0, 0.0, 10.0, "COMPLETED"))
-        tr.record(TaskEvent(2, "ana", 1, 4.0, 6.0, "COMPLETED"))
-        tr.record(TaskEvent(3, "ana", 1, 9.0, 12.0, "COMPLETED"))
-        assert tr.overlap_seconds("sim", "ana") == pytest.approx(3.0)
-        assert tr.makespan() == pytest.approx(12.0)
-
-    def test_gantt_renders(self):
-        from repro.compss.tracing import TaskEvent, Tracer
-
-        tr = Tracer()
-        tr.record(TaskEvent(1, "sim", 0, 0.0, 1.0, "COMPLETED"))
-        art = tr.gantt(width=20)
-        assert "w00" in art and "s" in art
+        attempts = [
+            TaskAttempt(1, "sim", 0, 0.0, 10.0, "COMPLETED"),
+            TaskAttempt(2, "ana", 1, 4.0, 6.0, "COMPLETED"),
+            TaskAttempt(3, "ana", 1, 9.0, 12.0, "COMPLETED"),
+        ]
+        stats = schedule_stats(attempts, 2, {"ana"}, esm_functions=("sim",))
+        assert stats["esm_analytics_overlap_s"] == pytest.approx(3.0)
+        assert stats["makespan_s"] == pytest.approx(12.0)

@@ -1,121 +1,110 @@
-"""Tracer interval arithmetic and Gantt edge cases."""
+"""Interval arithmetic behind the task-attempt schedule.
+
+``profile._merge``/``profile._overlap`` compute worker busy time and the
+ESM/analytics overlap; :func:`schedule_stats` uses them for the run
+summary's ``schedule`` section.
+"""
 
 import pytest
 
-from repro.compss.tracing import (
-    TaskEvent,
-    Tracer,
-    _interval_overlap,
-    _merge_intervals,
+from repro.observability.profile import (
+    TaskAttempt,
+    _merge,
+    _overlap,
+    schedule_stats,
 )
 
 
-def _event(func, start, end, task_id=1, worker=0):
-    return TaskEvent(task_id, func, worker, start, end, "COMPLETED")
+def _attempt(func, start, end, task_id=1, worker=0):
+    return TaskAttempt(task_id, func, worker, start, end, "COMPLETED")
 
 
 class TestMergeIntervals:
     def test_empty(self):
-        assert _merge_intervals([]) == []
+        assert _merge([]) == []
 
     def test_disjoint_sorted(self):
-        assert _merge_intervals([(3, 4), (0, 1)]) == [(0, 1), (3, 4)]
+        assert _merge([(3, 4), (0, 1)]) == [(0, 1), (3, 4)]
 
     def test_overlapping_merge(self):
-        assert _merge_intervals([(0, 2), (1, 5), (4, 6)]) == [(0, 6)]
+        assert _merge([(0, 2), (1, 5), (4, 6)]) == [(0, 6)]
 
     def test_touching_intervals_merge(self):
         # start == previous end counts as contiguous, not a gap.
-        assert _merge_intervals([(0, 1), (1, 2)]) == [(0, 2)]
+        assert _merge([(0, 1), (1, 2)]) == [(0, 2)]
 
     def test_contained_interval_absorbed(self):
-        assert _merge_intervals([(0, 10), (2, 3)]) == [(0, 10)]
+        assert _merge([(0, 10), (2, 3)]) == [(0, 10)]
 
     def test_single_point_intervals(self):
-        assert _merge_intervals([(1, 1), (1, 1), (2, 2)]) == [(1, 1), (2, 2)]
+        # Zero-length intervals cover no time and are dropped, alone or
+        # next to a real interval.
+        assert _merge([(1, 1), (1, 1), (2, 2)]) == []
+        assert _merge([(1, 1), (0, 3), (5, 5)]) == [(0, 3)]
 
 
 class TestIntervalOverlap:
     def test_no_overlap(self):
-        assert _interval_overlap([(0, 1)], [(2, 3)]) == 0.0
+        assert _overlap([(0, 1)], [(2, 3)]) == 0.0
 
     def test_touching_is_zero(self):
-        assert _interval_overlap([(0, 1)], [(1, 2)]) == 0.0
+        assert _overlap([(0, 1)], [(1, 2)]) == 0.0
 
     def test_partial_and_multiple(self):
         a = [(0, 5), (10, 15)]
         b = [(3, 12)]
-        assert _interval_overlap(a, b) == pytest.approx(2 + 2)
+        assert _overlap(a, b) == pytest.approx(2 + 2)
 
     def test_either_side_empty(self):
-        assert _interval_overlap([], [(0, 1)]) == 0.0
-        assert _interval_overlap([(0, 1)], []) == 0.0
+        assert _overlap([], [(0, 1)]) == 0.0
+        assert _overlap([(0, 1)], []) == 0.0
 
 
 class TestOverlapGroupSeconds:
-    def _tracer(self, events):
-        tracer = Tracer()
-        for e in events:
-            tracer.record(e)
-        return tracer
+    def _overlap_s(self, attempts, group):
+        stats = schedule_stats(attempts, 3, group, esm_functions=("esm",))
+        return stats["esm_analytics_overlap_s"]
 
     def test_group_union_counts_each_second_once(self):
         # Two analytics tasks cover the same wall-clock window: the
         # overlap with the producer must not double-count it.
-        tracer = self._tracer([
-            _event("esm", 0.0, 10.0, task_id=1),
-            _event("ana", 2.0, 6.0, task_id=2, worker=1),
-            _event("ana", 3.0, 7.0, task_id=3, worker=2),
-        ])
-        assert tracer.overlap_group_seconds("esm", {"ana"}) == pytest.approx(5.0)
+        attempts = [
+            _attempt("esm", 0.0, 10.0, task_id=1),
+            _attempt("ana", 2.0, 6.0, task_id=2, worker=1),
+            _attempt("ana", 3.0, 7.0, task_id=3, worker=2),
+        ]
+        assert self._overlap_s(attempts, {"ana"}) == pytest.approx(5.0)
 
     def test_empty_group_is_zero(self):
-        tracer = self._tracer([_event("esm", 0.0, 10.0)])
-        assert tracer.overlap_group_seconds("esm", set()) == 0.0
+        assert self._overlap_s([_attempt("esm", 0.0, 10.0)], set()) == 0.0
 
     def test_missing_producer_is_zero(self):
-        tracer = self._tracer([_event("ana", 0.0, 1.0)])
-        assert tracer.overlap_group_seconds("esm", {"ana"}) == 0.0
+        assert self._overlap_s([_attempt("ana", 0.0, 1.0)], {"ana"}) == 0.0
 
     def test_group_accepts_list(self):
-        tracer = self._tracer([
-            _event("esm", 0.0, 4.0, task_id=1),
-            _event("a", 1.0, 2.0, task_id=2, worker=1),
-            _event("b", 3.0, 5.0, task_id=3, worker=2),
-        ])
-        assert tracer.overlap_group_seconds("esm", ["a", "b"]) == pytest.approx(2.0)
+        attempts = [
+            _attempt("esm", 0.0, 4.0, task_id=1),
+            _attempt("a", 1.0, 2.0, task_id=2, worker=1),
+            _attempt("b", 3.0, 5.0, task_id=3, worker=2),
+        ]
+        assert self._overlap_s(attempts, ["a", "b"]) == pytest.approx(2.0)
 
 
-class TestGanttClamp:
-    def _tracer(self):
-        tracer = Tracer()
-        tracer.record(_event("alpha", 0.0, 0.5, task_id=1, worker=0))
-        tracer.record(_event("beta", 0.4, 1.0, task_id=2, worker=1))
-        return tracer
+class TestScheduleStats:
+    def test_makespan_and_utilisation(self):
+        attempts = [
+            _attempt("esm", 1.0, 5.0, task_id=1),
+            _attempt("ana", 2.0, 3.0, task_id=2, worker=1),
+            _attempt("ana", 4.0, 9.0, task_id=3, worker=1),
+        ]
+        stats = schedule_stats(attempts, 2, {"ana"}, esm_functions=("esm",))
+        assert stats["makespan_s"] == pytest.approx(8.0)
+        # busy 4 + 1 + 5 over 2 workers x 8 s
+        assert stats["worker_utilisation"] == pytest.approx(10 / 16)
+        assert stats["esm_analytics_overlap_s"] == pytest.approx(2.0)
 
-    @pytest.mark.parametrize("width", [0, 1, 7, -5])
-    def test_narrow_width_clamps_to_minimum(self, width):
-        # Regression: width < 8 used to paint zero-width/out-of-bounds
-        # bars; it now renders as an 8-column chart.
-        lines = self._tracer().gantt(width=width).splitlines()
-        bars = [line for line in lines if line.startswith("w")]
-        assert len(bars) == 2
-        for line in bars:
-            assert len(line.split("|")[1]) == 8
-        assert any("a" in line for line in bars)
-        assert any("b" in line for line in bars)
-
-    def test_wide_chart_unchanged(self):
-        lines = self._tracer().gantt(width=40).splitlines()
-        bars = [line for line in lines if line.startswith("w")]
-        assert all(len(line.split("|")[1]) == 40 for line in bars)
-
-    def test_no_events(self):
-        assert Tracer().gantt(width=3) == "(no events)"
-
-    def test_zero_duration_event_paints_one_cell(self):
-        tracer = Tracer()
-        tracer.record(_event("x", 1.0, 1.0))
-        bars = [line for line in tracer.gantt(width=10).splitlines()
-                if line.startswith("w")]
-        assert bars[0].count("x") == 1
+    def test_no_attempts(self):
+        assert schedule_stats([], 4, {"ana"}) == {
+            "makespan_s": 0.0, "esm_analytics_overlap_s": 0.0,
+            "worker_utilisation": 0.0,
+        }

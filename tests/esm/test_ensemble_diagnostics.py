@@ -193,28 +193,44 @@ class TestCubeConcat:
 
 class TestChromeTrace:
     def test_export_structure(self):
-        from repro.compss.tracing import TaskEvent, Tracer
+        from repro.observability import Span, build_perfetto_trace
 
-        tr = Tracer()
-        tr.record(TaskEvent(1, "sim", 0, 0.0, 1.5, "COMPLETED"))
-        tr.record(TaskEvent(2, "ana", 1, 1.0, 2.0, "FAILED"))
-        doc = json.loads(tr.to_chrome_trace())
-        events = doc["traceEvents"]
+        def attempt(task_id, func, worker, start, end, status):
+            return Span(
+                name=f"{func}#{task_id}", trace_id="t", span_id=f"s{task_id}",
+                parent_id=None, layer="compss", start=start, end=end,
+                status=status, thread_id=worker,
+                attrs={"task_id": task_id, "worker_id": worker,
+                       "function": func, "category": "compute"},
+            )
+
+        doc = json.loads(build_perfetto_trace([
+            attempt(1, "sim", 0, 0.0, 1.5, "OK"),
+            attempt(2, "ana", 1, 1.0, 2.0, "ERROR"),
+        ]))
+        events = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert len(events) == 2
         assert events[0]["name"] == "sim#1"
-        assert events[0]["ph"] == "X"
         assert events[0]["dur"] == pytest.approx(1.5e6)
         assert events[1]["tid"] == 1
-        assert events[1]["cat"] == "FAILED"
+        assert events[1]["args"]["status"] == "ERROR"
+        assert events[1]["args"]["task_id"] == 2
 
     def test_export_from_real_run(self):
         from repro.compss import COMPSs, compss_wait_on, task
+        from repro.observability import (
+            build_perfetto_trace, get_collector, span,
+        )
 
         @task(returns=1)
         def f(x):
             return x
 
-        with COMPSs(n_workers=2) as rt:
-            compss_wait_on([f(i) for i in range(3)])
-            doc = json.loads(rt.tracer.to_chrome_trace())
-        assert len(doc["traceEvents"]) == 3
+        with span("test.root", layer="workflow") as root:
+            with COMPSs(n_workers=2):
+                compss_wait_on([f(i) for i in range(3)])
+        spans = get_collector().for_trace(root.context.trace_id)
+        doc = json.loads(build_perfetto_trace(spans))
+        attempts = [e for e in doc["traceEvents"]
+                    if e["ph"] == "X" and e["args"].get("category") == "compute"]
+        assert sorted(e["args"]["function"] for e in attempts) == ["f"] * 3

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.compss.tracing import TaskEvent
 from repro.observability import (
     MetricsRegistry,
     TraceCollector,
@@ -37,19 +36,6 @@ class TestPerfettoTrace:
             assert e["dur"] >= 0
             assert e["args"]["trace_id"]
 
-    def test_task_events_get_their_own_process(self, spans):
-        tasks = [TaskEvent(1, "esm_simulation", 0, 0.0, 1.0, "COMPLETED")]
-        trace = json.loads(
-            build_perfetto_trace(spans, tasks, tracer_epoch=spans[0].start)
-        )
-        task_events = [
-            e for e in trace["traceEvents"]
-            if e.get("ph") == "X" and e["pid"] == 2
-        ]
-        assert len(task_events) == 1
-        assert task_events[0]["name"] == "esm_simulation#1"
-        assert task_events[0]["tid"] == 0  # worker id is the lane
-
     def test_clock_alignment_shifts_to_zero(self, spans):
         trace = json.loads(build_perfetto_trace(spans))
         ts = [e["ts"] for e in trace["traceEvents"] if e.get("ph") == "X"]
@@ -62,7 +48,7 @@ class TestPerfettoTrace:
         assert any(e["name"] == "thread_name" for e in meta)
 
     def test_empty_inputs(self):
-        trace = json.loads(build_perfetto_trace([], []))
+        trace = json.loads(build_perfetto_trace([]))
         assert all(e.get("ph") == "M" for e in trace["traceEvents"])
 
 

@@ -19,8 +19,8 @@ from repro.observability import (
 )
 from repro.observability.profile import (
     ProfileError,
-    ProfileTaskEvent,
     categorize_span,
+    task_attempts,
 )
 
 
@@ -31,10 +31,11 @@ def mk_span(name, span_id, parent_id, start, end, layer="compss",
                 status=status, attrs=attrs)
 
 
-def mk_event(task_id, func, worker, start, end, state="COMPLETED"):
-    return ProfileTaskEvent(task_id=task_id, func_name=func,
-                            worker_id=worker, start=start, end=end,
-                            state=state)
+def mk_attempt(task_id, func, worker, start, end, status="OK"):
+    """A COMPSs task-attempt span, as the runtime records one."""
+    return mk_span(f"{func}#{task_id}", f"task{task_id}", "r", start, end,
+                   status=status, task_id=task_id, worker_id=worker,
+                   function=func, category="compute", attempt=1)
 
 
 @pytest.fixture()
@@ -147,17 +148,16 @@ class TestCategorize:
 class TestTimelines:
     def make(self):
         root = mk_span("workflow.run", "r", None, 0.0, 10.0, layer="workflow")
-        events = [
+        attempts = [
             # worker 0 busy [0,4] and [6,10]; worker 1 busy [0,2]
-            mk_event(1, "esm_simulation", 0, 0.0, 4.0),
-            mk_event(2, "analyze", 0, 6.0, 10.0),
-            mk_event(3, "analyze", 1, 0.0, 2.0),
+            mk_attempt(1, "esm_simulation", 0, 0.0, 4.0),
+            mk_attempt(2, "analyze", 0, 6.0, 10.0),
+            mk_attempt(3, "analyze", 1, 0.0, 2.0),
         ]
-        return root, events
+        return [root, *attempts]
 
     def test_busy_idle_utilisation(self):
-        root, events = self.make()
-        prof = profile_spans([root], events)
+        prof = profile_spans(self.make())
         w0 = prof.workers["worker-0"]
         w1 = prof.workers["worker-1"]
         assert prof.task_window_s == pytest.approx(10.0)
@@ -168,20 +168,17 @@ class TestTimelines:
         assert w1["idle_s"] == pytest.approx(8.0)
 
     def test_blocked_is_idle_while_work_waited(self):
-        root, events = self.make()
         # ready work waited in the scheduler during [3, 7]
         queue = mk_span("queue:analyze#2", "q", "r", 3.0, 7.0,
                         layer="scheduler")
-        prof = profile_spans([root, queue], events)
+        prof = profile_spans([*self.make(), queue])
         # worker 0 idle [4,6] ∩ waiting [3,7] = 2s blocked
         assert prof.workers["worker-0"]["blocked_s"] == pytest.approx(2.0)
         # worker 1 idle [2,10] ∩ [3,7] = 4s
         assert prof.workers["worker-1"]["blocked_s"] == pytest.approx(4.0)
 
     def test_overlap_fraction(self):
-        root, events = self.make()
-        prof = profile_spans([root], events,
-                             esm_functions=("esm_simulation",))
+        prof = profile_spans(self.make(), esm_functions=("esm_simulation",))
         # esm busy [0,4]; analytics busy [0,2] u [6,10] -> overlap [0,2]
         assert prof.overlap["esm_busy_s"] == pytest.approx(4.0)
         assert prof.overlap["analytics_busy_s"] == pytest.approx(6.0)
@@ -191,22 +188,37 @@ class TestTimelines:
     def test_straggler_detection(self):
         root = mk_span("workflow.run", "r", None, 0.0, 100.0,
                        layer="workflow")
-        events = [mk_event(i, "f", 0, i * 1.0, i * 1.0 + 0.1)
-                  for i in range(9)]
-        events.append(mk_event(9, "f", 1, 50.0, 60.0))  # 100x the median
-        prof = profile_spans([root], events)
+        attempts = [mk_attempt(i, "f", 0, i * 1.0, i * 1.0 + 0.1)
+                    for i in range(9)]
+        attempts.append(mk_attempt(9, "f", 1, 50.0, 60.0))  # 100x the median
+        prof = profile_spans([root, *attempts])
         assert len(prof.stragglers) == 1
         assert prof.stragglers[0]["task"] == "f#9"
         assert prof.stragglers[0]["worker"] == 1
 
-    def test_tracer_epoch_shifts_events(self):
-        root = mk_span("workflow.run", "r", None, 100.0, 110.0,
-                       layer="workflow")
-        events = [mk_event(1, "esm_simulation", 0, 0.0, 4.0),
-                  mk_event(2, "analyze", 0, 2.0, 6.0)]
-        prof = profile_spans([root], events, tracer_epoch=100.0)
-        assert prof.workers["worker-0"]["first_start_s"] == pytest.approx(0.0)
-        assert prof.overlap["overlap_s"] == pytest.approx(2.0)
+
+class TestTaskAttempts:
+    def test_only_compss_compute_spans_with_a_task_id(self):
+        spans = [
+            mk_span("workflow.run", "r", None, 0.0, 10.0, layer="workflow"),
+            mk_attempt(1, "esm_simulation", 0, 1.0, 4.0),
+            # a batch job is "compute" too, but not a task attempt
+            mk_span("lsf:job#7", "j", "r", 0.0, 9.0, layer="cluster",
+                    category="compute", attempt=1),
+            mk_span("transfer:f#2", "x", "r", 4.0, 5.0, category="transfer",
+                    task_id=2, worker_id=0),
+            mk_span("selftest.child", "c", "r", 5.0, 6.0, category="compute"),
+        ]
+        attempts = task_attempts(spans)
+        assert [(a.task_id, a.func_name, a.worker_id, a.start, a.end)
+                for a in attempts] == [(1, "esm_simulation", 0, 1.0, 4.0)]
+
+    def test_status_maps_to_state(self):
+        attempts = task_attempts([
+            mk_attempt(1, "f", 0, 0.0, 1.0, status="OK"),
+            mk_attempt(2, "f", 1, 0.0, 1.0, status="ERROR"),
+        ])
+        assert [a.state for a in attempts] == ["COMPLETED", "FAILED"]
 
 
 class TestSerialisation:
@@ -234,11 +246,10 @@ class TestSerialisation:
 
 class TestPerfettoRoundTrip:
     def test_profile_agrees_after_export_import(self, diamond):
-        events = [mk_event(1, "esm_simulation", 0, 1.0, 4.0),
-                  mk_event(2, "analyze", 1, 2.0, 7.0)]
-        direct = profile_spans(diamond, events, tracer_epoch=0.0)
-        payload = json.loads(build_perfetto_trace(
-            diamond, events, tracer_epoch=0.0))
+        spans = diamond + [mk_attempt(1, "esm_simulation", 0, 1.0, 4.0),
+                           mk_attempt(2, "analyze", 1, 2.0, 7.0)]
+        direct = profile_spans(spans)
+        payload = json.loads(build_perfetto_trace(spans))
         rt = profile_from_perfetto(payload)
         # export rounds to microseconds and shifts t0; derived
         # quantities agree to that precision
@@ -247,12 +258,44 @@ class TestPerfettoRoundTrip:
             direct.critical_path_s, abs=1e-4)
         assert rt.overlap["overlap_s"] == pytest.approx(
             direct.overlap["overlap_s"], abs=1e-5)
+        assert direct.overlap["overlap_s"] == pytest.approx(2.0)
+        assert rt.workers.keys() == direct.workers.keys() == {
+            "worker-0", "worker-1"}
+        for name, worker in direct.workers.items():
+            assert rt.workers[name]["busy_s"] == pytest.approx(
+                worker["busy_s"], abs=1e-5)
         assert {s["name"] for s in rt.critical_path} == {
             s["name"] for s in direct.critical_path}
 
+    def test_legacy_schedule_lane_is_ignored(self, diamond):
+        """Traces written before spans were the only task record carry a
+        pid-2 "compss schedule" lane; they profile as their spans alone."""
+        spans = diamond + [mk_attempt(1, "esm_simulation", 0, 1.0, 4.0),
+                           mk_attempt(2, "analyze", 1, 2.0, 7.0)]
+        payload = json.loads(build_perfetto_trace(spans))
+        legacy = json.loads(json.dumps(payload))
+        legacy["traceEvents"] += [
+            {"ph": "M", "pid": 2, "name": "process_name",
+             "args": {"name": "compss schedule"}},
+            {"ph": "M", "pid": 2, "tid": 0, "name": "thread_name",
+             "args": {"name": "worker-0"}},
+            {"ph": "M", "pid": 2, "tid": 1, "name": "thread_name",
+             "args": {"name": "worker-1"}},
+            {"name": "esm_simulation#1", "cat": "COMPLETED", "ph": "X",
+             "ts": 1.001e6, "dur": 2.998e6, "pid": 2, "tid": 0,
+             "args": {"task_id": 1, "state": "COMPLETED"}},
+            {"name": "analyze#2", "cat": "COMPLETED", "ph": "X",
+             "ts": 2.001e6, "dur": 4.998e6, "pid": 2, "tid": 1,
+             "args": {"task_id": 2, "state": "COMPLETED"}},
+        ]
+        old, new = profile_from_perfetto(legacy), profile_from_perfetto(payload)
+        assert old.workers == new.workers
+        assert old.overlap == new.overlap
+        assert old.n_task_events == new.n_task_events == 2
+
     def test_span_attrs_survive_export(self, diamond):
         diamond[1].attrs["category"] = "transfer"
-        payload = json.loads(build_perfetto_trace(diamond, []))
+        payload = json.loads(build_perfetto_trace(diamond))
         rt = profile_from_perfetto(payload)
         by_cat = rt.categories
         assert by_cat.get("transfer", 0.0) == pytest.approx(1.0)
@@ -263,7 +306,7 @@ class TestPerfettoRoundTrip:
 
     def test_status_and_nan_free(self, diamond):
         diamond[3].status = "ERROR"
-        payload = json.loads(build_perfetto_trace(diamond, []))
+        payload = json.loads(build_perfetto_trace(diamond))
         rt = profile_from_perfetto(payload)
         err = [s for s in rt.critical_path if s["name"] == "c#3"]
         assert err and err[0]["status"] == "ERROR"

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster import SharedFilesystem, laptop_like
 from repro.compss import COMPSs, compss_wait_on, task
+from repro.observability import get_collector, span, task_attempts
 from repro.workflow.provenance import (
     build_provenance,
     collect_activities,
@@ -26,15 +27,27 @@ def consume(x):
 
 class TestCollectors:
     def test_activities_carry_dependencies_and_timing(self):
-        with COMPSs(n_workers=2) as rt:
-            compss_wait_on(consume(produce()))
-            activities = collect_activities(rt)
+        with span("test.root", layer="workflow") as root:
+            with COMPSs(n_workers=2) as rt:
+                compss_wait_on(consume(produce()))
+        attempts = task_attempts(get_collector().for_trace(root.context.trace_id))
+        activities = collect_activities(rt, attempts)
         assert len(activities) == 2
         by_fn = {a["function"]: a for a in activities}
         assert by_fn["consume"]["used"] == ["activity:task/1"]
         assert by_fn["produce"]["used"] == []
         assert by_fn["produce"]["state"] == "COMPLETED"
         assert by_fn["produce"]["endedAt_s"] >= by_fn["produce"]["startedAt_s"]
+        # Times count from the run's first attempt.
+        assert by_fn["produce"]["startedAt_s"] == 0.0
+        assert by_fn["consume"]["startedAt_s"] >= by_fn["produce"]["endedAt_s"]
+        assert {a["worker"] for a in activities} <= {0, 1}
+
+    def test_activities_without_attempts_have_no_timing(self):
+        with COMPSs(n_workers=2) as rt:
+            compss_wait_on(consume(produce()))
+        for activity in collect_activities(rt):
+            assert "startedAt_s" not in activity and "worker" not in activity
 
     def test_entities_with_digests(self, tmp_path):
         fs = SharedFilesystem(tmp_path)
