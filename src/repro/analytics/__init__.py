@@ -48,7 +48,6 @@ from repro.analytics.tiling import (
 )
 from repro.analytics.maps import render_ascii_map, render_pgm
 from repro.analytics.report import generate_report
-from repro.analytics.exposure import synthetic_population_density, wave_exposure
 from repro.analytics.validation import validate_indices, ValidationError
 
 __all__ = [
@@ -78,8 +77,6 @@ __all__ = [
     "render_ascii_map",
     "render_pgm",
     "generate_report",
-    "synthetic_population_density",
-    "wave_exposure",
     "validate_indices",
     "ValidationError",
 ]

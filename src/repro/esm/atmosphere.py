@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from repro.esm.events import ColdWaveEvent, HeatWaveEvent, TropicalCycloneEvent
 from repro.esm.forcing import GHGScenario, warming_offset
 from repro.esm.grid import Grid
+from repro.ndfilter import gaussian_filter
 from repro.netcdf.cf import DAYS_PER_YEAR
 
 KELVIN = 273.15
@@ -146,8 +146,8 @@ class Atmosphere:
     def _correlated_noise(self, rng: np.random.Generator) -> np.ndarray:
         """Unit-variance spatially-correlated field (periodic in longitude)."""
         white = rng.standard_normal(self.grid.shape)
-        smooth = ndimage.gaussian_filter(
-            white, sigma=self.noise_length_cells, mode=("nearest", "wrap")
+        smooth = gaussian_filter(
+            white, self.noise_length_cells, ("nearest", "wrap")
         )
         std = smooth.std()
         return smooth / std if std > 0 else smooth

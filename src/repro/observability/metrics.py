@@ -124,6 +124,11 @@ class Gauge(_Metric):
     def dec(self, amount: float = 1, **labels: Any) -> None:
         self.inc(-amount, **labels)
 
+    def remove(self, **labels: Any) -> None:
+        """Drop a series: a level that no longer holds is not reported."""
+        with self._lock:
+            self._series.pop(self._key(labels), None)
+
     def value(self, **labels: Any) -> float:
         return _match_sum(self.label_names, self.series(), labels)
 

@@ -357,18 +357,22 @@ def run_extreme_events_workflow(
     # and metrics artefacts are exported afterwards.
     summary["trace_id"] = trace_id
     summary["run_id"] = control.run_id
+    # The schedule timings are absent when the run's spans were dropped;
+    # an earlier run's gauges must not then stand in for this run's.
     schedule = summary["schedule"]
-    if "makespan_s" in schedule:  # absent when the run's spans were dropped
-        registry.gauge(
-            "workflow_makespan_seconds", "Makespan of the last workflow run"
-        ).set(schedule["makespan_s"])
-        registry.gauge(
-            "workflow_esm_analytics_overlap_seconds",
-            "ESM/analytics overlap of the last run (claim C1)",
-        ).set(schedule["esm_analytics_overlap_s"])
-        registry.gauge(
-            "workflow_worker_utilisation", "Worker utilisation of the last run"
-        ).set(schedule["worker_utilisation"])
+    for name, key, help_text in (
+        ("workflow_makespan_seconds", "makespan_s",
+         "Makespan of the last workflow run"),
+        ("workflow_esm_analytics_overlap_seconds", "esm_analytics_overlap_s",
+         "ESM/analytics overlap of the last run (claim C1)"),
+        ("workflow_worker_utilisation", "worker_utilisation",
+         "Worker utilisation of the last run"),
+    ):
+        gauge = registry.gauge(name, help_text)
+        if key in schedule:
+            gauge.set(schedule[key])
+        else:
+            gauge.remove()
 
     # Critical-path profile of the run just recorded.  Computed before
     # the metrics delta so the critical-path gauge lands in this run's

@@ -18,12 +18,13 @@ from repro.workflow import WorkflowParams, run_extreme_events_workflow
 
 
 @pytest.fixture(scope="module")
-def run(tmp_path_factory):
+def run(tmp_path_factory, tc_model_path):
     scratch = tmp_path_factory.mktemp("analyze") / "scratch"
     with laptop_like(scratch_root=str(scratch)) as cluster:
         params = WorkflowParams(
             years=[2030, 2031], n_days=8, n_lat=8, n_lon=12, n_workers=4,
             min_length_days=4, seed=7, pace_seconds=0.02,
+            tc_model_path=tc_model_path,
         )
         summary = run_extreme_events_workflow(cluster, params)
     return summary, scratch / "results"

@@ -49,6 +49,18 @@ class TestGauge:
         g.dec(3)
         assert g.value() == 4
 
+    def test_remove_drops_series_from_snapshot_and_delta(self, registry):
+        g = registry.gauge("level", labels=("k",))
+        g.set(7, k="a")
+        g.set(8, k="b")
+        before = registry.snapshot()
+        g.remove(k="a")
+        g.remove(k="missing")  # no such series: nothing happens
+        assert g.series() == {("b",): 8}
+        assert "level" in registry.snapshot().delta(before).names()
+        g.remove(k="b")
+        assert "level" not in registry.snapshot().delta(before).names()
+
 
 class TestHistogram:
     def test_observe_and_stats(self, registry):

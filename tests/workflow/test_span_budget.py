@@ -61,3 +61,18 @@ def test_full_collector_omits_schedule_timing(tmp_path, telemetry):
     assert "transfers" in truncated["schedule"]
     for gauge in GAUGES:
         assert gauge not in truncated["metrics"]
+
+
+def test_dropped_spans_clear_an_earlier_runs_gauges(tmp_path, telemetry):
+    """One registry for both runs: the gauges of a normal run must not
+    carry over into a later run whose schedule is unknown."""
+    set_collector(TraceCollector())
+    full, _ = _run(tmp_path / "full")
+    for gauge in GAUGES:
+        assert gauge in full["metrics"]
+
+    set_collector(TraceCollector(max_spans=20))
+    truncated, _ = _run(tmp_path / "truncated")
+    assert truncated["spans_dropped"] > 0
+    for gauge in GAUGES:
+        assert gauge not in truncated["metrics"]

@@ -145,12 +145,11 @@ class TestTCTasks:
         assert prepared["data"].shape == (8, 4, 32, 64)
         assert prepared["lat"].shape == (32,)
 
-    def test_tc_inference_and_georeference(self, fs, tmp_path):
-        model_path = tasks.ensure_tc_model(None, 16, str(tmp_path / "m"))
+    def test_tc_inference_and_georeference(self, fs, tc_model_path):
         run_small_esm(fs, n_days=2)
         paths = fs.glob("esm_output", "cmcc_cm3_*.rnc")
         prepared = tasks.tc_preprocess(fs, paths, (32, 64))
-        detections = tasks.tc_inference(model_path, prepared)
+        detections = tasks.tc_inference(tc_model_path, prepared)
         assert isinstance(detections, list)
         out = tasks.tc_georeference(fs, detections, 2030, "results")
         assert json.loads(fs.read_bytes(out)) == detections
@@ -162,8 +161,8 @@ class TestTCTasks:
         assert "tracks" in result
         assert fs.exists(result["path"])
 
-    def test_ensure_tc_model_reuses_existing(self, tmp_path):
-        path1 = tasks.ensure_tc_model(None, 16, str(tmp_path))
+    def test_ensure_tc_model_reuses_existing(self, tmp_path, tc_model_path):
+        path1 = tc_model_path
         mtime = __import__("os").path.getmtime(path1)
         path2 = tasks.ensure_tc_model(path1, 16, str(tmp_path))
         assert path1 == path2
